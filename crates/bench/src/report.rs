@@ -1,10 +1,10 @@
 //! The `BENCH_dataplane.json` regression reporter.
 //!
 //! Measures the data-plane fast path end to end — bulk AEAD
-//! throughput for both GCM implementations, record-layer throughput
-//! per hop, and a steady-state loop the `bench_report` binary wraps
-//! with a counting allocator to prove the per-record path is
-//! allocation-free. The binary serialises a [`DataplaneReport`] to
+//! throughput for each `AesGcm` backend and the reference oracle,
+//! record-layer throughput per hop, and a steady-state loop the
+//! `bench_report` binary wraps with a counting allocator to prove the
+//! per-record path is allocation-free. The binary serialises a [`DataplaneReport`] to
 //! `BENCH_dataplane.json`; `scripts/check.sh` runs it in `--smoke`
 //! mode as a regression gate. See DESIGN.md §"Data-plane fast path"
 //! for how to read the numbers.
@@ -14,7 +14,7 @@ use std::time::Instant;
 use mbtls_core::dataplane::{
     fresh_hop_keys, EndpointDataPlane, FlowDirection, MiddleboxDataPlane,
 };
-use mbtls_crypto::gcm::{AesGcm, AesGcmRef};
+use mbtls_crypto::gcm::{AesGcm, AesGcmRef, GcmBackend};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_tls::suites::CipherSuite;
 
@@ -86,14 +86,16 @@ fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
     bytes as f64 / 1e6 / elapsed.as_secs_f64()
 }
 
-/// Bulk AEAD throughput for the bitsliced fast path and the reference
-/// oracle, seal and open, at `BULK_LEN`-byte messages. `total_bytes`
-/// is the measurement budget per metric.
+/// Bulk AEAD throughput for each `AesGcm` backend this CPU can run
+/// (`aes_gcm_hw_*`, `aes_gcm_bitsliced_*`), seal and open, plus the
+/// reference oracle's seal, at `BULK_LEN`-byte messages. Each backend
+/// is built explicitly, so a row's label names the code it measured
+/// whatever `AesGcm::new` would pick here. `total_bytes` is the
+/// measurement budget per metric.
 pub fn bench_primitives(total_bytes: usize) -> Vec<Throughput> {
     let mut rng = CryptoRng::from_seed(0xBE9C);
     let mut key = [0u8; 32];
     rng.fill(&mut key);
-    let fast = AesGcm::new(&key).expect("key");
     let slow = AesGcmRef::new(&key).expect("key");
     let nonce = [0x24u8; 12];
     let aad = [0u8; 13];
@@ -102,44 +104,55 @@ pub fn bench_primitives(total_bytes: usize) -> Vec<Throughput> {
 
     let mut out = Vec::new();
 
-    // Fast-path seal: in place over a reused buffer, like the record
-    // layer drives it. Each timed loop is preceded by an untimed
-    // warm-up so the first metric doesn't absorb cold caches and
-    // frequency ramp-up.
-    let mut buf = vec![0u8; BULK_LEN];
-    rng.fill(&mut buf);
-    for _ in 0..warmup {
-        let _tag = fast.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        let _tag = fast.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
-    }
-    out.push(Throughput {
-        name: "aes_gcm_bitsliced_seal",
-        mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
-    });
+    for backend in GcmBackend::ALL {
+        let Some(gcm) = AesGcm::with_backend(backend, &key).expect("key") else {
+            continue;
+        };
+        let (seal_name, open_name) = match backend {
+            GcmBackend::Hardware => ("aes_gcm_hw_seal", "aes_gcm_hw_open"),
+            GcmBackend::Bitsliced => ("aes_gcm_bitsliced_seal", "aes_gcm_bitsliced_open"),
+        };
 
-    // Fast-path open: seal once, then repeatedly verify+decrypt a
-    // scratch copy (decrypting restores the plaintext, so re-copy the
-    // ciphertext each round; the copy cost is ~1% of the crypto).
-    let mut ct = vec![0u8; BULK_LEN];
-    rng.fill(&mut ct);
-    let tag = fast.seal_in_place(&nonce, &aad, &mut ct).expect("seal");
-    let mut scratch = vec![0u8; BULK_LEN];
-    for _ in 0..warmup {
-        scratch.copy_from_slice(&ct);
-        fast.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
+        // Seal: in place over a reused buffer, like the record layer
+        // drives it. Each timed loop is preceded by an untimed
+        // warm-up so the first metric doesn't absorb cold caches and
+        // frequency ramp-up.
+        let mut buf = vec![0u8; BULK_LEN];
+        rng.fill(&mut buf);
+        for _ in 0..warmup {
+            let _tag = gcm.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
+        }
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            let _tag = gcm.seal_in_place(&nonce, &aad, &mut buf).expect("seal");
+        }
+        out.push(Throughput {
+            name: seal_name,
+            mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
+        });
+
+        // Open: seal once, then repeatedly verify+decrypt a scratch
+        // copy (decrypting restores the plaintext, so re-copy the
+        // ciphertext each round; the copy is a small share of the
+        // crypto).
+        let mut ct = vec![0u8; BULK_LEN];
+        rng.fill(&mut ct);
+        let tag = gcm.seal_in_place(&nonce, &aad, &mut ct).expect("seal");
+        let mut scratch = vec![0u8; BULK_LEN];
+        for _ in 0..warmup {
+            scratch.copy_from_slice(&ct);
+            gcm.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
+        }
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            scratch.copy_from_slice(&ct);
+            gcm.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
+        }
+        out.push(Throughput {
+            name: open_name,
+            mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
+        });
     }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        scratch.copy_from_slice(&ct);
-        fast.open_in_place(&nonce, &aad, &mut scratch, &tag).expect("open");
-    }
-    out.push(Throughput {
-        name: "aes_gcm_bitsliced_open",
-        mb_per_s: mb_per_s(iters * BULK_LEN, t0.elapsed()),
-    });
 
     // Reference oracle seal, for the speedup ratio in the report.
     let mut pt = vec![0u8; BULK_LEN];
@@ -344,6 +357,8 @@ mod tests {
         let json = report.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"aes_gcm_bitsliced_seal\""));
+        let hw = AesGcm::with_backend(GcmBackend::Hardware, &[0u8; 16]).expect("key");
+        assert_eq!(json.contains("\"aes_gcm_hw_seal\""), hw.is_some());
         assert!(json.contains("\"middlebox_forward_record\""));
         // Balanced braces and no trailing commas before closers.
         assert_eq!(json.matches('{').count(), json.matches('}').count());

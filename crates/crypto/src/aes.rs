@@ -192,37 +192,16 @@ pub struct Aes {
 impl Aes {
     /// Expand a 16-byte (AES-128) or 32-byte (AES-256) key.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        let (nk, rounds) = match key.len() {
-            16 => (4usize, 10usize),
-            32 => (8usize, 14usize),
-            _ => return Err(CryptoError::BadKeyLength),
-        };
-        // Standard 32-bit word expansion over little-endian words
-        // (the convention the interleave step consumes). SubWord runs
-        // through the bitsliced S-box, so key expansion is itself
-        // free of table lookups.
-        let nwords = 4 * (rounds + 1);
-        let mut w = vec![0u32; nwords];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            w[i] = u32::from_le_bytes(crate::fixed(chunk));
-        }
-        let mut tmp = w[nk - 1];
-        for i in nk..nwords {
-            if i % nk == 0 {
-                // RotWord on a little-endian word is a right rotation
-                // by one byte; Rcon lands in the low (first) byte.
-                tmp = tmp.rotate_right(8);
-                tmp = sub_word(tmp) ^ RCON[i / nk - 1];
-            } else if nk > 6 && i % nk == 4 {
-                tmp = sub_word(tmp);
-            }
-            tmp ^= w[i - nk];
-            w[i] = tmp;
-        }
+        Ok(Aes::from_schedule(&expand_key(key)?))
+    }
+
+    /// Bitslice an expanded key schedule.
+    pub(crate) fn from_schedule(schedule: &KeySchedule) -> Self {
+        let rounds = schedule.rounds;
         // Bitslice each round key and replicate it across the eight
         // block lanes so one copy serves the whole batch.
         let mut skey = vec![0u128; 8 * (rounds + 1)];
-        for (round, chunk) in w.chunks_exact(4).enumerate() {
+        for (round, chunk) in schedule.words.chunks_exact(4).enumerate() {
             let mut q = [0u128; 8];
             let (q0, q4) = interleave_in([chunk[0], chunk[1], chunk[2], chunk[3]]);
             for lane in 0..4 {
@@ -235,8 +214,7 @@ impl Aes {
             // `add_round_key` consumes for an eight-block batch.
             skey[8 * round..8 * round + 8].copy_from_slice(&q);
         }
-        crate::ct::zeroize_u32(&mut w);
-        Ok(Aes { skey, rounds })
+        Aes { skey, rounds }
     }
 
     /// Number of rounds (10 for AES-128, 14 for AES-256).
@@ -338,6 +316,64 @@ impl Aes {
         shift_rows(q);
         add_round_key(q, &self.skey[8 * self.rounds..8 * self.rounds + 8]);
     }
+}
+
+/// The FIPS-197 key schedule as `4 * (rounds + 1)` little-endian
+/// 32-bit words: round key `r` is `words[4r..4r + 4]`, and its bytes
+/// in order are those words' little-endian encodings — exactly the
+/// 16-byte round key AES-NI's `aesenc` consumes. Both GCM backends
+/// start from this one schedule; the words are wiped when it drops.
+// lint:secret
+pub(crate) struct KeySchedule {
+    pub(crate) words: Vec<u32>,
+    /// 10 for AES-128, 14 for AES-256.
+    pub(crate) rounds: usize,
+}
+
+impl KeySchedule {
+    fn wipe(&mut self) {
+        crate::ct::zeroize_u32(&mut self.words);
+    }
+}
+
+impl Drop for KeySchedule {
+    fn drop(&mut self) {
+        self.wipe();
+    }
+}
+
+/// Expand a 16-byte (AES-128) or 32-byte (AES-256) key (FIPS 197
+/// §5.2). SubWord runs through the bitsliced S-box, so key expansion
+/// is free of table lookups.
+pub(crate) fn expand_key(key: &[u8]) -> Result<KeySchedule, CryptoError> {
+    let (nk, rounds) = match key.len() {
+        16 => (4usize, 10usize),
+        32 => (8usize, 14usize),
+        _ => return Err(CryptoError::BadKeyLength),
+    };
+    let nwords = 4 * (rounds + 1);
+    let mut schedule = KeySchedule {
+        words: vec![0u32; nwords],
+        rounds,
+    };
+    let w = &mut schedule.words;
+    for (i, chunk) in key.chunks_exact(4).enumerate() {
+        w[i] = u32::from_le_bytes(crate::fixed(chunk));
+    }
+    let mut tmp = w[nk - 1];
+    for i in nk..nwords {
+        if i % nk == 0 {
+            // RotWord on a little-endian word is a right rotation
+            // by one byte; Rcon lands in the low (first) byte.
+            tmp = tmp.rotate_right(8);
+            tmp = sub_word(tmp) ^ RCON[i / nk - 1];
+        } else if nk > 6 && i % nk == 4 {
+            tmp = sub_word(tmp);
+        }
+        tmp ^= w[i - nk];
+        w[i] = tmp;
+    }
+    Ok(schedule)
 }
 
 impl Drop for Aes {
@@ -722,6 +758,15 @@ mod tests {
     fn key_expansion_round_counts() {
         assert_eq!(Aes::new(&[0; 16]).unwrap().rounds, 10);
         assert_eq!(Aes::new(&[0; 32]).unwrap().rounds, 14);
+    }
+
+    #[test]
+    fn key_schedule_is_wiped_on_drop() {
+        let schedule = expand_key(&[0x5au8; 16]).unwrap();
+        assert_eq!(schedule.words.len(), 44);
+        crate::ct::assert_wipes(schedule, KeySchedule::wipe, |s| {
+            vec![s.words.iter().flat_map(|w| w.to_le_bytes()).collect()]
+        });
     }
 
     #[test]

@@ -1,31 +1,44 @@
 //! AES-GCM authenticated encryption (NIST SP 800-38D).
 //!
-//! This is the bulk data-plane cipher, so both halves are built for
-//! throughput:
+//! This is the bulk data-plane cipher. [`AesGcm::new`] picks one of
+//! two backends per key and keeps it; callers see one API and never
+//! know which backend runs:
 //!
-//! * **CTR** runs through the bitsliced [`Aes`] four counter blocks
-//!   per invocation ([`Aes::ctr_xor`]), with no table lookups.
-//! * **GHASH** uses 8-bit Shoup tables over the first four powers of
-//!   the hash subkey `H` and processes four blocks per aggregated
-//!   reduction:
+//! * **Hardware** (`crate::gcm_hw`, x86_64): AES-NI CTR eight blocks
+//!   per pass and PCLMULQDQ GHASH with one reduction per eight
+//!   blocks. Chosen whenever `is_x86_feature_detected!` reports
+//!   `aes`, `pclmulqdq`, `ssse3` and `sse4.1`.
+//! * **Bitsliced** (this file), for every other CPU and target, and
+//!   as a differential oracle in tests:
+//!   * **CTR** runs through the bitsliced [`Aes`], eight counter
+//!     blocks per invocation ([`Aes::ctr_xor`]), with no table
+//!     lookups.
+//!   * **GHASH** uses 8-bit Shoup tables over the first four powers
+//!     of the hash subkey `H` and processes four blocks per
+//!     aggregated reduction:
 //!
-//!   ```text
-//!   Y' = (Y ^ C1)·H⁴  ^  C2·H³  ^  C3·H²  ^  C4·H
-//!   ```
+//!     ```text
+//!     Y' = (Y ^ C1)·H⁴  ^  C2·H³  ^  C3·H²  ^  C4·H
+//!     ```
 //!
-//!   which is an algebraic regrouping of four serial Horner steps —
-//!   the four multiplications are independent, so the CPU can overlap
-//!   them instead of waiting on the serial `Y·H` dependency chain.
+//!     which is an algebraic regrouping of four serial Horner steps —
+//!     the four multiplications are independent, so the CPU can
+//!     overlap them instead of waiting on the serial `Y·H` chain.
 //!
-//! The GHASH tables are keyed (derived from `H`), so indexing them is
-//! a data-dependent memory access; see DESIGN.md for why this is
-//! accepted for GHASH while the AES S-box lookups were eliminated.
+//!   The fallback's GHASH tables are keyed (derived from `H`), so
+//!   indexing them is a data-dependent memory access; see DESIGN.md
+//!   for why this is accepted for GHASH while the AES S-box lookups
+//!   were eliminated. The hardware backend has no tables.
+//!
+//! Both backends share one key schedule ([`crate::aes::expand_key`]).
 //! The previous one-block-at-a-time formulation survives as
 //! `AesGcmRef` — the cross-check oracle used by the vector and
-//! differential tests, never by live traffic, and compiled only
-//! under `cfg(test)` or the `reference-oracle` feature.
+//! differential tests, never by live traffic. It, and
+//! `AesGcm::with_backend` for building either backend explicitly,
+//! are compiled only under `cfg(test)` or the `reference-oracle`
+//! feature.
 
-use crate::aes::Aes;
+use crate::aes::{expand_key, Aes, KeySchedule};
 #[cfg(any(test, feature = "reference-oracle"))]
 use crate::aes_ref::AesRef;
 use crate::{ct, CryptoError};
@@ -240,29 +253,74 @@ fn check_len(len: usize) -> Result<(), CryptoError> {
 
 /// AES-GCM with a fixed 12-byte nonce size (the TLS case).
 pub struct AesGcm {
-    aes: Aes,
-    ghash_key: GhashKey,
+    backend: Backend,
+}
+
+/// The implementation an [`AesGcm`] was built on, chosen once per key.
+enum Backend {
+    /// AES-NI + PCLMULQDQ (`crate::gcm_hw`).
+    #[cfg(target_arch = "x86_64")]
+    Hardware(crate::gcm_hw::HwGcm),
+    /// Bitsliced AES + Shoup-table GHASH: CPUs without those
+    /// instructions, and the differential oracle next to `AesGcmRef`.
+    Bitsliced { aes: Aes, ghash_key: GhashKey },
+}
+
+impl Backend {
+    /// The hardware backend when this CPU has the instructions.
+    #[cfg(target_arch = "x86_64")]
+    fn hardware(schedule: &KeySchedule) -> Option<Backend> {
+        let cpu = crate::gcm_hw::HwSupport::detect()?;
+        Some(Backend::Hardware(crate::gcm_hw::HwGcm::new(cpu, schedule)))
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn hardware(_schedule: &KeySchedule) -> Option<Backend> {
+        None
+    }
+
+    fn bitsliced(schedule: &KeySchedule) -> Backend {
+        let aes = Aes::from_schedule(schedule);
+        let h = aes.encrypt_block_copy(&[0u8; 16]);
+        Backend::Bitsliced {
+            ghash_key: GhashKey::new(&h),
+            aes,
+        }
+    }
 }
 
 impl AesGcm {
-    /// Create from a 16- or 32-byte AES key.
+    /// Create from a 16- or 32-byte AES key, on the hardware backend
+    /// when the CPU supports it and the bitsliced one otherwise.
     pub fn new(key: &[u8]) -> Result<Self, CryptoError> {
-        let aes = Aes::new(key)?;
-        let h = aes.encrypt_block_copy(&[0u8; 16]);
-        Ok(AesGcm {
-            ghash_key: GhashKey::new(&h),
-            aes,
-        })
+        let schedule = expand_key(key)?;
+        let backend = Backend::hardware(&schedule).unwrap_or_else(|| Backend::bitsliced(&schedule));
+        Ok(AesGcm { backend })
+    }
+
+    /// XOR the keystream for counters `2, 3, …` into `data`.
+    fn ctr_xor(&self, nonce: &[u8; 12], data: &mut [u8]) {
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(hw) => hw.ctr_xor(nonce, data),
+            Backend::Bitsliced { aes, .. } => aes.ctr_xor(nonce, 2, data),
+        }
     }
 
     fn tag(&self, nonce: &[u8; 12], aad: &[u8], ciphertext: &[u8]) -> [u8; 16] {
-        let s = ghash(&self.ghash_key, aad, ciphertext);
-        let e = self.aes.encrypt_block_copy(&counter_block(nonce, 1));
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ e[i];
+        match &self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(hw) => hw.tag(nonce, aad, ciphertext),
+            Backend::Bitsliced { aes, ghash_key } => {
+                let s = ghash(ghash_key, aad, ciphertext);
+                let e = aes.encrypt_block_copy(&counter_block(nonce, 1));
+                let mut tag = [0u8; 16];
+                for i in 0..16 {
+                    tag[i] = s[i] ^ e[i];
+                }
+                tag
+            }
         }
-        tag
     }
 
     /// Encrypt `plaintext` in place and return the 16-byte tag.
@@ -273,7 +331,7 @@ impl AesGcm {
         data: &mut [u8],
     ) -> Result<[u8; 16], CryptoError> {
         check_len(data.len())?;
-        self.aes.ctr_xor(nonce, 2, data);
+        self.ctr_xor(nonce, data);
         Ok(self.tag(nonce, aad, data))
     }
 
@@ -316,7 +374,7 @@ impl AesGcm {
         if !ct::eq(&expected, tag) {
             return Err(CryptoError::BadTag);
         }
-        self.aes.ctr_xor(nonce, 2, data);
+        self.ctr_xor(nonce, data);
         Ok(())
     }
 
@@ -338,6 +396,48 @@ impl AesGcm {
         let mut out = ct_part.to_vec();
         self.open_in_place(nonce, aad, &mut out, tag)?;
         Ok(out)
+    }
+}
+
+/// The two [`AesGcm`] implementations, for tests and benches that
+/// must run each one explicitly. Compiled only under `cfg(test)` or
+/// the `reference-oracle` feature: live traffic always goes through
+/// [`AesGcm::new`]'s choice.
+#[cfg(any(test, feature = "reference-oracle"))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GcmBackend {
+    /// AES-NI + PCLMULQDQ (x86_64 only).
+    Hardware,
+    /// Bitsliced AES + 8-bit-table GHASH (every target).
+    Bitsliced,
+}
+
+#[cfg(any(test, feature = "reference-oracle"))]
+impl GcmBackend {
+    /// Every backend, hardware first.
+    pub const ALL: [GcmBackend; 2] = [GcmBackend::Hardware, GcmBackend::Bitsliced];
+}
+
+#[cfg(any(test, feature = "reference-oracle"))]
+impl AesGcm {
+    /// Build on an explicit backend: `Ok(None)` when this CPU cannot
+    /// run it, `Err` on a bad key length.
+    pub fn with_backend(backend: GcmBackend, key: &[u8]) -> Result<Option<Self>, CryptoError> {
+        let schedule = expand_key(key)?;
+        let backend = match backend {
+            GcmBackend::Hardware => Backend::hardware(&schedule),
+            GcmBackend::Bitsliced => Some(Backend::bitsliced(&schedule)),
+        };
+        Ok(backend.map(|backend| AesGcm { backend }))
+    }
+
+    /// The backend this instance runs on.
+    pub fn backend(&self) -> GcmBackend {
+        match self.backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(_) => GcmBackend::Hardware,
+            Backend::Bitsliced { .. } => GcmBackend::Bitsliced,
+        }
     }
 }
 
@@ -689,27 +789,40 @@ mod tests {
         assert_eq!(ct_part, before, "verification must not decrypt");
     }
 
-    // Fast path and reference must agree across AAD/plaintext length
-    // combinations that exercise the aggregated 4-block absorb, its
+    // Every backend and the reference must agree across AAD/plaintext
+    // length combinations that exercise the aggregated absorb, its
     // remainder path, and padding (the full differential hammer lives
     // in tests/gcm_vectors.rs).
     #[test]
     fn fast_and_reference_agree_on_boundary_lengths() {
         let key = [0x42u8; 32];
-        let fast = AesGcm::new(&key).unwrap();
         let slow = AesGcmRef::new(&key).unwrap();
         let nonce = [3u8; 12];
         let payload: Vec<u8> = (0u32..200).map(|i| (i * 7 + 1) as u8).collect();
-        for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 128, 129, 200] {
-            for aad_len in [0usize, 1, 16, 64, 65] {
-                let sealed_fast = fast
-                    .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
-                    .unwrap();
-                let sealed_slow = slow
-                    .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
-                    .unwrap();
-                assert_eq!(sealed_fast, sealed_slow, "pt {pt_len} aad {aad_len}");
+        for backend in GcmBackend::ALL {
+            let Some(fast) = AesGcm::with_backend(backend, &key).unwrap() else {
+                continue;
+            };
+            assert_eq!(fast.backend(), backend);
+            for pt_len in [0usize, 1, 15, 16, 17, 48, 63, 64, 65, 128, 129, 200] {
+                for aad_len in [0usize, 1, 16, 64, 65, 128, 129] {
+                    let sealed_fast = fast
+                        .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
+                        .unwrap();
+                    let sealed_slow = slow
+                        .seal(&nonce, &payload[..aad_len], &payload[..pt_len])
+                        .unwrap();
+                    assert_eq!(sealed_fast, sealed_slow, "{backend:?} pt {pt_len} aad {aad_len}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn explicit_backends_reject_bad_keys() {
+        for backend in GcmBackend::ALL {
+            assert!(AesGcm::with_backend(backend, &[0u8; 24]).is_err());
+        }
+        assert!(AesGcm::with_backend(GcmBackend::Bitsliced, &[0u8; 16]).unwrap().is_some());
     }
 }

@@ -20,10 +20,16 @@
 //! * [`sha2`] — SHA-256 / SHA-384 / SHA-512.
 //! * [`hmac`] — HMAC over any [`sha2`] hash.
 //! * [`kdf`] — the TLS 1.2 PRF and HKDF.
-//! * [`aes`] — constant-time bitsliced AES (128/256-bit keys, 4-wide CTR).
+//! * [`aes`] — constant-time bitsliced AES (128/256-bit keys, 8-wide
+//!   CTR) and the FIPS-197 key schedule both GCM backends share.
 //! * `aes_ref` — reference table-lookup AES (cross-check oracle only;
 //!   compiled only under `cfg(test)` or the `reference-oracle` feature).
-//! * [`gcm`] — AES-GCM AEAD (GHASH + CTR).
+//! * [`gcm`] — AES-GCM AEAD (GHASH + CTR). `AesGcm::new` picks its
+//!   backend once per key: AES-NI + PCLMULQDQ (`gcm_hw`, x86_64) when
+//!   the CPU reports the instructions, bitsliced AES + table GHASH
+//!   otherwise.
+//! * `gcm_hw` — the hardware backend (private; reached only through
+//!   [`gcm::AesGcm`]).
 //! * [`aead`] — the AEAD trait object used by the record layer.
 //! * [`x25519`] — Diffie-Hellman over Curve25519.
 //! * [`ed25519`] — Ed25519 signatures (used by the PKI).
@@ -43,6 +49,8 @@ pub mod dh;
 pub mod ed25519;
 mod field25519;
 pub mod gcm;
+#[cfg(target_arch = "x86_64")]
+mod gcm_hw;
 pub mod hmac;
 pub mod kdf;
 pub mod rng;

@@ -27,9 +27,17 @@ if [[ "${1:-}" == "--smoke" ]]; then
     mkdir -p target
 fi
 
+# require_python3 <file>: every JSON check below runs under python3,
+# so a missing interpreter fails the gate instead of skipping it.
+require_python3() {
+    if ! command -v python3 > /dev/null; then
+        echo "FAIL: python3 is required to validate $1 but is not on PATH" >&2
+        exit 1
+    fi
+}
+
 # validate <file> <required-key>...: non-empty, every key present, and
-# parseable as one JSON object (python3 is in the toolchain image;
-# fall back to the key check alone if it ever is not).
+# parseable as one JSON object.
 validate() {
     local out="$1"
     shift
@@ -44,12 +52,11 @@ validate() {
             exit 1
         fi
     done
-    if command -v python3 > /dev/null; then
-        python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out" || {
-            echo "FAIL: $out is not valid JSON" >&2
-            exit 1
-        }
-    fi
+    require_python3 "$out"
+    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$out" || {
+        echo "FAIL: $out is not valid JSON" >&2
+        exit 1
+    }
 }
 
 # Stage 1: data-plane fast path.
@@ -71,9 +78,7 @@ echo "OK: wrote $OUT"
 # double-run determinism verdict must be true.
 validate_scale() {
     local out="$1"
-    if ! command -v python3 > /dev/null; then
-        return 0
-    fi
+    require_python3 "$out"
     python3 - "$out" <<'PY' || exit 1
 import json, sys
 
@@ -127,9 +132,7 @@ echo "OK: wrote $OUT"
 # the storm path must beat the all-full baseline at every shard count.
 validate_handshake() {
     local out="$1"
-    if ! command -v python3 > /dev/null; then
-        return 0
-    fi
+    require_python3 "$out"
     python3 - "$out" <<'PY' || exit 1
 import json, sys
 
@@ -196,9 +199,7 @@ echo "OK: wrote $OUT"
 # and allocs/determinism are exact, not statistical.
 validate_chain() {
     local out="$1"
-    if ! command -v python3 > /dev/null; then
-        return 0
-    fi
+    require_python3 "$out"
     python3 - "$out" <<'PY' || exit 1
 import json, sys
 
@@ -258,9 +259,7 @@ echo "OK: wrote $OUT"
 # charged only to the sgx_attested row), so both hold at smoke budgets.
 validate_auth() {
     local out="$1"
-    if ! command -v python3 > /dev/null; then
-        return 0
-    fi
+    require_python3 "$out"
     python3 - "$out" <<'PY' || exit 1
 import json, sys
 
