@@ -5,25 +5,25 @@
 //! Per-hop numbers isolate the record relay cost at one middlebox:
 //! `endpoint_seal` (the producer baseline), `middlebox_open_reseal`
 //! (the classic double-AEAD forward), `middlebox_read_only_forward`
-//! (aliased keys + read-only declaration: tag verify only), and
+//! (aliased keys + read-only declaration: tag verify only),
 //! `raw_tag_verify` (the record-layer primitive the fast path should
-//! collapse toward). Chain numbers drive real mbTLS sessions —
-//! client → [filter → cache → compression] → server — with the
-//! seeded HTTP mix from `mbtls_http::workload`, at 1/2/3
-//! middleboxes, plus a 3-tap read-only variant on aliased keys. The
-//! `chain_report` binary wraps the steady-state pump with a counting
-//! allocator and serialises a [`ChainReport`] to `BENCH_chain.json`;
-//! `scripts/check.sh` runs it in `--smoke` mode as a regression
-//! gate.
+//! collapse toward), and `naive_shared_key_reseal` (open+reseal on the
+//! one key the naive key-sharing baseline gives both hops: per-hop
+//! keys cost no data-plane work, only key-distribution bytes). Chain
+//! numbers drive real mbTLS sessions — client → [filter → cache →
+//! compression] → server — with the seeded HTTP mix from
+//! `mbtls_http::workload`, at 1/2/3 middleboxes, plus a 3-tap
+//! read-only variant on aliased keys. `bench chain` wraps the
+//! read-only steady-state pump with a counting allocator, writes a
+//! [`ChainReport`] to `BENCH_chain.json` and gates it;
+//! `scripts/check.sh` runs it in `--smoke` mode.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use mbtls_core::attacks::Testbed;
 use mbtls_core::client::MbClientSession;
-use mbtls_core::dataplane::{
-    fresh_hop_keys, EndpointDataPlane, FlowDirection, MiddleboxDataPlane,
-};
+use mbtls_core::dataplane::fresh_hop_keys;
 use mbtls_core::driver::{Chain, Relay};
 use mbtls_core::middlebox::Middlebox;
 use mbtls_core::server::MbServerSession;
@@ -35,19 +35,9 @@ use mbtls_mboxes::{ChainFunction, ServiceChain};
 use mbtls_tls::record::ContentType;
 use mbtls_tls::suites::CipherSuite;
 
-use crate::report::{Throughput, RECORD_LEN};
-
-/// One measured end-to-end chain configuration.
-#[derive(Debug, Clone)]
-pub struct ChainThroughput {
-    /// Stable snake_case config name (JSON key).
-    pub name: &'static str,
-    /// Middleboxes on the path.
-    pub middleboxes: usize,
-    /// Application megabytes (1e6 bytes) through the chain per
-    /// second, both directions summed.
-    pub mb_per_s: f64,
-}
+use crate::json::{failing, Artifact, Json};
+use crate::report::{endpoint_seal_mb_s, hop_mb_s, relay_mb_s, Throughput, RECORD_LEN};
+use crate::{fnv1a, mb_per_s, FNV1A_START};
 
 /// Everything that goes into `BENCH_chain.json`.
 #[derive(Debug, Clone)]
@@ -59,163 +49,169 @@ pub struct ChainReport {
     pub record_len: usize,
     /// Per-hop relay throughputs.
     pub per_hop: Vec<Throughput>,
-    /// read_only_forward ÷ open_reseal_forward (the fast-path win).
-    pub read_only_speedup: f64,
-    /// End-to-end chain throughputs.
-    pub chains: Vec<ChainThroughput>,
+    /// End-to-end chain throughputs (application bytes, both
+    /// directions summed).
+    pub chains: Vec<Throughput>,
     /// Handshake-amortization rows: large-response size classes and
     /// session-reuse configurations, all on the full 3-middlebox
     /// chain, timed *including* handshakes.
-    pub amortized: Vec<ChainThroughput>,
+    pub amortized: Vec<Throughput>,
     /// Heap allocations per record through a read-only middlebox at
     /// steady state (counted by the binary's global allocator).
     pub allocs_per_record_read_only: f64,
-    /// `"identical"` when two same-seed chain runs produced
-    /// bit-identical application byte streams, else `"diverged"`.
-    pub determinism: String,
+    /// True when every double-run chain configuration produced
+    /// bit-identical application byte streams (`"identical"` in the
+    /// artifact, else `"diverged"`).
+    pub identical: bool,
 }
 
 impl ChainReport {
-    /// Render as pretty-printed JSON. Hand-rolled (the workspace has
-    /// no serde) but round-trips through any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str(&format!("  \"record_len\": {},\n", self.record_len));
-        out.push_str("  \"per_hop_mb_s\": {\n");
-        for (i, t) in self.per_hop.iter().enumerate() {
-            let comma = if i + 1 == self.per_hop.len() { "" } else { "," };
-            out.push_str(&format!("    \"{}\": {:.2}{}\n", t.name, t.mb_per_s, comma));
+    /// `middlebox_read_only_forward ÷ middlebox_open_reseal` (the
+    /// fast-path win), or 0 without a reseal rate.
+    pub fn read_only_speedup(&self) -> f64 {
+        let reseal = Throughput::rate(&self.per_hop, "middlebox_open_reseal");
+        if reseal > 0.0 {
+            Throughput::rate(&self.per_hop, "middlebox_read_only_forward") / reseal
+        } else {
+            0.0
         }
-        out.push_str("  },\n");
-        out.push_str(&format!("  \"read_only_speedup\": {:.3},\n", self.read_only_speedup));
-        out.push_str("  \"chain_mb_s\": {\n");
-        for (i, c) in self.chains.iter().enumerate() {
-            let comma = if i + 1 == self.chains.len() { "" } else { "," };
-            out.push_str(&format!("    \"{}\": {:.3}{}\n", c.name, c.mb_per_s, comma));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"amortized_mb_s\": {\n");
-        for (i, c) in self.amortized.iter().enumerate() {
-            let comma = if i + 1 == self.amortized.len() { "" } else { "," };
-            out.push_str(&format!("    \"{}\": {:.3}{}\n", c.name, c.mb_per_s, comma));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"allocs_per_record_read_only\": {:.3},\n",
-            self.allocs_per_record_read_only
-        ));
-        out.push_str(&format!("  \"determinism\": \"{}\"\n", self.determinism));
-        out.push('}');
-        out
     }
 }
 
-fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
-    bytes as f64 / 1e6 / elapsed.as_secs_f64()
+impl Artifact for ChainReport {
+    const KEYS: &'static [&'static str] = &[
+        "per_hop_mb_s",
+        "endpoint_seal",
+        "middlebox_open_reseal",
+        "middlebox_read_only_forward",
+        "raw_tag_verify",
+        "read_only_speedup",
+        "chain_mb_s",
+        "amortized_mb_s",
+        "allocs_per_record_read_only",
+        "determinism",
+    ];
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("smoke", self.smoke.into()),
+            ("record_len", self.record_len.into()),
+            ("per_hop_mb_s", Throughput::rows_json(&self.per_hop, 2)),
+            ("read_only_speedup", Json::Num(self.read_only_speedup(), 3)),
+            ("chain_mb_s", Throughput::rows_json(&self.chains, 3)),
+            ("amortized_mb_s", Throughput::rows_json(&self.amortized, 3)),
+            ("allocs_per_record_read_only", Json::Num(self.allocs_per_record_read_only, 3)),
+            ("determinism", if self.identical { "identical" } else { "diverged" }.into()),
+        ])
+    }
+
+    /// Every floor holds at smoke budgets too: skipping a body decrypt
+    /// wins at any record count, the same exchange budget on one
+    /// reused session strictly beats one handshake per exchange, a
+    /// 256k response strictly beats 4k per byte moved, and allocation
+    /// counts and determinism are exact, not statistical.
+    fn floors(&self) -> Vec<String> {
+        let positive = |rows: &[Throughput], kind: &str, names: &[&str]| {
+            names
+                .iter()
+                .map(|name| {
+                    (Throughput::rate(rows, name) > 0.0, format!("{kind} {name} missing or zero"))
+                })
+                .collect::<Vec<_>>()
+        };
+        let amortized = |name| Throughput::rate(&self.amortized, name);
+        let speedup = self.read_only_speedup();
+        let mut checks = positive(
+            &self.per_hop,
+            "per-hop metric",
+            &[
+                "endpoint_seal",
+                "middlebox_open_reseal",
+                "middlebox_read_only_forward",
+                "raw_tag_verify",
+            ],
+        );
+        checks.extend(positive(
+            &self.chains,
+            "chain config",
+            &["middleboxes_1", "middleboxes_2", "middleboxes_3", "middleboxes_3_read_only"],
+        ));
+        checks.extend(positive(
+            &self.amortized,
+            "amortized config",
+            &[
+                "middleboxes_3_resp_4k",
+                "middleboxes_3_resp_64k",
+                "middleboxes_3_resp_256k",
+                "middleboxes_3_reuse_x1",
+                "middleboxes_3_reuse_x16",
+            ],
+        ));
+        checks.extend([
+            (
+                speedup >= 1.5,
+                format!("read-only fast path regressed: {speedup:.3}x < 1.5x over open+reseal"),
+            ),
+            (
+                amortized("middleboxes_3_reuse_x16") > amortized("middleboxes_3_reuse_x1"),
+                "session reuse does not amortize the handshake".to_string(),
+            ),
+            (
+                amortized("middleboxes_3_resp_256k") > amortized("middleboxes_3_resp_4k"),
+                "large responses do not amortize per-record overhead".to_string(),
+            ),
+            (
+                self.allocs_per_record_read_only == 0.0,
+                format!(
+                    "read-only steady state allocates: {} allocs/record",
+                    self.allocs_per_record_read_only
+                ),
+            ),
+            (self.identical, "double-run chain determinism verdict is not identical".to_string()),
+        ]);
+        failing(checks)
+    }
 }
 
 /// Per-hop relay throughput at `RECORD_LEN`-byte records:
 /// `endpoint_seal`, `middlebox_open_reseal` (unique hop keys, the
 /// default data plane), `middlebox_read_only_forward` (aliased keys,
-/// read-only declaration), and `raw_tag_verify` (the bare
-/// record-layer primitive). `total_bytes` is the plaintext budget
-/// per metric.
+/// read-only declaration), `raw_tag_verify` (the bare record-layer
+/// primitive), and `naive_shared_key_reseal` (one key for both hops,
+/// open + reseal). `total_bytes` is the plaintext budget per metric.
 pub fn bench_per_hop(total_bytes: usize) -> Vec<Throughput> {
-    let mut rng = CryptoRng::from_seed(0xC4A1);
-    let suite = CipherSuite::EcdheAes256GcmSha384;
-    let left = fresh_hop_keys(suite, &mut rng);
-    let right = fresh_hop_keys(suite, &mut rng);
-    let shared = fresh_hop_keys(suite, &mut rng);
-    let payload = vec![0xA5u8; RECORD_LEN];
-    let iters = (total_bytes / RECORD_LEN).max(1);
-    let warmup = (iters / 16).max(1);
-
-    let mut out = Vec::new();
-    let mut wire = Vec::new();
-    let mut fwd = Vec::new();
-
-    // Endpoint seal baseline.
-    let mut client = EndpointDataPlane::for_client(&left).expect("keys");
-    for _ in 0..warmup {
-        client.send(&payload).expect("send");
-        wire.clear();
-        client.drain_outgoing_into(&mut wire);
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        client.send(&payload).expect("send");
-        wire.clear();
-        client.drain_outgoing_into(&mut wire);
-    }
-    out.push(Throughput {
-        name: "endpoint_seal",
-        mb_per_s: mb_per_s(iters * RECORD_LEN, t0.elapsed()),
-    });
-
-    // Open + reseal: unique per-hop keys, the default relay cost.
-    // Records are sealed fresh each iteration (sequence numbers);
-    // only the middlebox's work is timed.
-    let mut sender = EndpointDataPlane::for_client(&left).expect("keys");
-    let mut mbox = MiddleboxDataPlane::new(&left, &right).expect("keys");
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters + warmup {
-        sender.send(&payload).expect("send");
-        wire.clear();
-        sender.drain_outgoing_into(&mut wire);
-        let t0 = Instant::now();
-        mbox.feed(FlowDirection::ClientToServer, &wire, |_, _p| {}).expect("forward");
-        fwd.clear();
-        mbox.drain_toward_server_into(&mut fwd);
-        total += t0.elapsed();
-    }
-    out.push(Throughput {
-        name: "middlebox_open_reseal",
-        mb_per_s: mb_per_s((iters + warmup) * RECORD_LEN, total),
-    });
-
-    // Read-only forward: both hops share `shared`'s keys and the
-    // processor declares itself non-modifying — tag verify only.
-    let mut sender = EndpointDataPlane::for_client(&shared).expect("keys");
-    let mut mbox = MiddleboxDataPlane::new(&shared, &shared).expect("keys");
-    mbox.set_read_only(true);
-    assert!(mbox.fast_path_active(FlowDirection::ClientToServer));
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters + warmup {
-        sender.send(&payload).expect("send");
-        wire.clear();
-        sender.drain_outgoing_into(&mut wire);
-        let t0 = Instant::now();
-        mbox.feed(FlowDirection::ClientToServer, &wire, |_, _p| {}).expect("forward");
-        fwd.clear();
-        mbox.drain_toward_server_into(&mut fwd);
-        total += t0.elapsed();
-    }
-    assert_eq!(mbox.records_fast_forwarded, (iters + warmup) as u64);
-    out.push(Throughput {
-        name: "middlebox_read_only_forward",
-        mb_per_s: mb_per_s((iters + warmup) * RECORD_LEN, total),
-    });
-
     // Raw tag verify: the record-layer primitive alone, no framing,
     // no buffer management — the ceiling the fast path approaches.
+    let mut rng = CryptoRng::from_seed(0xC4A2);
+    let shared = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
     let mut writer = shared.seal_client_to_server().expect("keys");
     let mut reader = shared.open_client_to_server().expect("keys");
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters + warmup {
-        wire.clear();
-        writer.seal_record_into(ContentType::ApplicationData, &payload, &mut wire).expect("seal");
-        let body = &wire[5..];
-        let t0 = Instant::now();
-        reader.verify_record(ContentType::ApplicationData, body).expect("verify");
-        total += t0.elapsed();
-    }
-    out.push(Throughput {
-        name: "raw_tag_verify",
-        mb_per_s: mb_per_s((iters + warmup) * RECORD_LEN, total),
-    });
-
-    out
+    let payload = vec![0xA5u8; RECORD_LEN];
+    let raw_tag_verify = hop_mb_s(
+        total_bytes,
+        |wire| {
+            writer.seal_record_into(ContentType::ApplicationData, &payload, wire).expect("seal");
+        },
+        |wire| {
+            reader.verify_record(ContentType::ApplicationData, &wire[5..]).expect("verify");
+        },
+    );
+    vec![
+        Throughput { name: "endpoint_seal", mb_per_s: endpoint_seal_mb_s(total_bytes) },
+        Throughput {
+            name: "middlebox_open_reseal",
+            mb_per_s: relay_mb_s(total_bytes, false, false),
+        },
+        Throughput {
+            name: "middlebox_read_only_forward",
+            mb_per_s: relay_mb_s(total_bytes, true, true),
+        },
+        Throughput { name: "raw_tag_verify", mb_per_s: raw_tag_verify },
+        Throughput {
+            name: "naive_shared_key_reseal",
+            mb_per_s: relay_mb_s(total_bytes, true, false),
+        },
+    ]
 }
 
 /// Outcome of one end-to-end chain run.
@@ -226,13 +222,6 @@ pub struct ChainRunResult {
     /// followed by every byte the client received — the determinism
     /// fingerprint.
     pub digest: u64,
-}
-
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(0x1000_0000_01B3);
-    }
 }
 
 /// Drive `exchanges` HTTP request/response pairs through a freshly
@@ -264,7 +253,7 @@ pub fn run_chain(
     let mut mix = RequestMix::new(seed);
     let mut server_rx = RequestParser::new();
     let mut client_rx = ResponseParser::new();
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV1A_START;
     let mut app_bytes = 0usize;
     let t0 = Instant::now();
     for _ in 0..exchanges {
@@ -325,7 +314,7 @@ pub fn run_chain_sized(
     let testbed = Testbed::new(seed);
     let req = vec![0x42u8; 256];
     let resp: Vec<u8> = (0..response_len).map(|i| (i % 251) as u8).collect();
-    let mut digest: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut digest = FNV1A_START;
     let mut app_bytes = 0usize;
     let t0 = Instant::now();
     for s in 0..sessions {
@@ -372,26 +361,21 @@ pub fn amortization_configs(smoke: bool) -> Vec<(&'static str, usize, usize, usi
 }
 
 /// Measure every amortization configuration on the full Slick chain,
-/// double-running each for the shared determinism verdict.
-pub fn bench_amortized(smoke: bool, seed: u64) -> (Vec<ChainThroughput>, String) {
+/// double-running each for the shared determinism verdict (true when
+/// every pair replayed identically).
+pub fn bench_amortized(smoke: bool, seed: u64) -> (Vec<Throughput>, bool) {
     let slick = ServiceChain::slick_web();
     let mut out = Vec::new();
-    let mut determinism = String::from("identical");
+    let mut identical = true;
     for (name, sessions, exchanges, resp) in amortization_configs(smoke) {
         let a = run_chain_sized(slick.functions(), sessions, exchanges, resp, seed)
             .expect("amortized chain run completes");
         let b = run_chain_sized(slick.functions(), sessions, exchanges, resp, seed)
             .expect("amortized chain run completes");
-        if a.digest != b.digest {
-            determinism = String::from("diverged");
-        }
-        out.push(ChainThroughput {
-            name,
-            middleboxes: slick.len(),
-            mb_per_s: a.mb_per_s.max(b.mb_per_s),
-        });
+        identical &= a.digest == b.digest;
+        out.push(Throughput { name, mb_per_s: a.mb_per_s.max(b.mb_per_s) });
     }
-    (out, determinism)
+    (out, identical)
 }
 
 /// The chain configurations the report measures: the Slick web chain
@@ -410,125 +394,148 @@ pub fn chain_configs() -> Vec<(&'static str, ServiceChain, bool)> {
     ]
 }
 
-/// Measure every chain configuration and double-run the full Slick
-/// chain for the determinism verdict.
-pub fn bench_chains(exchanges: usize, seed: u64) -> (Vec<ChainThroughput>, String) {
+/// Measure every chain configuration, double-running each for the
+/// determinism verdict (true when every pair replayed identically).
+pub fn bench_chains(exchanges: usize, seed: u64) -> (Vec<Throughput>, bool) {
     let mut out = Vec::new();
-    let mut determinism = String::from("identical");
+    let mut identical = true;
     for (name, chain, read_only) in chain_configs() {
         let a = run_chain(chain.functions(), exchanges, seed, read_only)
             .expect("chain run completes");
         let b = run_chain(chain.functions(), exchanges, seed, read_only)
             .expect("chain run completes");
-        if a.digest != b.digest {
-            determinism = String::from("diverged");
-        }
-        out.push(ChainThroughput {
-            name,
-            middleboxes: chain.len(),
-            mb_per_s: a.mb_per_s.max(b.mb_per_s),
-        });
+        identical &= a.digest == b.digest;
+        out.push(Throughput { name, mb_per_s: a.mb_per_s.max(b.mb_per_s) });
     }
-    (out, determinism)
-}
-
-/// A warmed-up client → read-only middlebox → server pipeline on
-/// aliased keys. The `chain_report` binary snapshots its allocation
-/// counter around [`Self::pump`] to prove the fast path is
-/// allocation-free at steady state.
-pub struct SteadyStateReadOnly {
-    client: EndpointDataPlane,
-    mbox: MiddleboxDataPlane,
-    server: EndpointDataPlane,
-    payload: Vec<u8>,
-    wire: Vec<u8>,
-    fwd: Vec<u8>,
-    plain: Vec<u8>,
-}
-
-impl SteadyStateReadOnly {
-    /// Build the pipeline and run enough records through it for every
-    /// internal buffer to reach its final capacity.
-    pub fn warmed_up() -> Self {
-        let mut rng = CryptoRng::from_seed(0xFA57);
-        let suite = CipherSuite::EcdheAes256GcmSha384;
-        let hop = fresh_hop_keys(suite, &mut rng);
-        let mut mbox = MiddleboxDataPlane::new(&hop, &hop).expect("keys");
-        mbox.set_read_only(true);
-        let mut pipeline = SteadyStateReadOnly {
-            client: EndpointDataPlane::for_client(&hop).expect("keys"),
-            mbox,
-            server: EndpointDataPlane::for_server(&hop).expect("keys"),
-            payload: vec![0x5Au8; RECORD_LEN],
-            wire: Vec::new(),
-            fwd: Vec::new(),
-            plain: Vec::new(),
-        };
-        for _ in 0..8 {
-            pipeline.pump(1);
-        }
-        pipeline
-    }
-
-    /// Push `records` full-size records client → middlebox → server
-    /// through the fast path, all in reused buffers.
-    pub fn pump(&mut self, records: usize) {
-        let before = self.mbox.records_fast_forwarded;
-        for _ in 0..records {
-            self.client.send(&self.payload).expect("send");
-            self.wire.clear();
-            self.client.drain_outgoing_into(&mut self.wire);
-            self.mbox
-                .feed(FlowDirection::ClientToServer, &self.wire, |_, _p| {})
-                .expect("forward");
-            self.fwd.clear();
-            self.mbox.drain_toward_server_into(&mut self.fwd);
-            self.server.feed(&self.fwd).expect("deliver");
-            self.plain.clear();
-            self.server.drain_plaintext_into(&mut self.plain);
-            assert_eq!(self.plain.len(), RECORD_LEN, "record did not round-trip");
-        }
-        assert_eq!(
-            self.mbox.records_fast_forwarded - before,
-            records as u64,
-            "steady-state pump must stay on the fast path"
-        );
-    }
+    (out, identical)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SteadyStatePipeline;
 
-    #[test]
-    fn smoke_report_is_valid_json_shape() {
-        let per_hop = bench_per_hop(RECORD_LEN);
-        let (chains, determinism) = bench_chains(2, 0xC0DE);
-        let speedup = {
-            let get = |n: &str| per_hop.iter().find(|t| t.name == n).unwrap().mb_per_s;
-            get("middlebox_read_only_forward") / get("middlebox_open_reseal")
-        };
-        let (amortized, amortized_det) = bench_amortized(true, 0xC0DE);
-        let report = ChainReport {
+    fn rows(names: &[&'static str], mb_per_s: f64) -> Vec<Throughput> {
+        names.iter().map(|&name| Throughput { name, mb_per_s }).collect()
+    }
+
+    fn passing() -> ChainReport {
+        let mut per_hop =
+            rows(&["endpoint_seal", "raw_tag_verify", "naive_shared_key_reseal"], 900.0);
+        per_hop.extend(rows(&["middlebox_open_reseal"], 100.0));
+        per_hop.extend(rows(&["middlebox_read_only_forward"], 200.0));
+        let mut amortized = rows(&["middleboxes_3_resp_4k", "middleboxes_3_reuse_x1"], 5.0);
+        amortized.extend(rows(
+            &["middleboxes_3_resp_64k", "middleboxes_3_resp_256k", "middleboxes_3_reuse_x16"],
+            10.0,
+        ));
+        ChainReport {
             smoke: true,
             record_len: RECORD_LEN,
             per_hop,
-            read_only_speedup: speedup,
-            chains,
+            chains: rows(
+                &["middleboxes_1", "middleboxes_2", "middleboxes_3", "middleboxes_3_read_only"],
+                20.0,
+            ),
             amortized,
             allocs_per_record_read_only: 0.0,
-            determinism,
+            identical: true,
+        }
+    }
+
+    fn set(rows: &mut [Throughput], name: &str, mb_per_s: f64) {
+        rows.iter_mut().find(|t| t.name == name).expect("fixture row").mb_per_s = mb_per_s;
+    }
+
+    #[test]
+    fn smoke_report_is_valid_json_shape() {
+        let (chains, chains_identical) = bench_chains(2, 0xC0DE);
+        let (amortized, amortized_identical) = bench_amortized(true, 0xC0DE);
+        let report = ChainReport {
+            per_hop: bench_per_hop(RECORD_LEN),
+            chains,
+            amortized,
+            identical: chains_identical && amortized_identical,
+            ..passing()
         };
-        assert_eq!(amortized_det, "identical");
-        let json = report.to_json();
+        assert!(report.identical);
+        let json = report.json().render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"middlebox_read_only_forward\""));
+        assert!(json.contains("\"naive_shared_key_reseal\""));
         assert!(json.contains("\"middleboxes_3_read_only\""));
         assert!(json.contains("\"middleboxes_3_resp_256k\""));
         assert!(json.contains("\"middleboxes_3_reuse_x16\""));
         assert!(json.contains("\"determinism\": \"identical\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+        assert_eq!(report.json().non_finite(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn passing_fixture_passes_every_floor() {
+        assert_eq!(passing().check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn read_only_speedup_below_one_and_a_half_fails() {
+        let mut report = passing();
+        set(&mut report.per_hop, "middlebox_read_only_forward", 140.0);
+        assert_eq!(
+            report.check(),
+            vec!["read-only fast path regressed: 1.400x < 1.5x over open+reseal".to_string()]
+        );
+    }
+
+    #[test]
+    fn session_reuse_that_does_not_amortize_fails() {
+        let mut report = passing();
+        set(&mut report.amortized, "middleboxes_3_reuse_x16", 5.0);
+        assert_eq!(
+            report.check(),
+            vec!["session reuse does not amortize the handshake".to_string()]
+        );
+    }
+
+    #[test]
+    fn large_responses_that_do_not_amortize_fail() {
+        let mut report = passing();
+        set(&mut report.amortized, "middleboxes_3_resp_256k", 5.0);
+        assert_eq!(
+            report.check(),
+            vec!["large responses do not amortize per-record overhead".to_string()]
+        );
+    }
+
+    #[test]
+    fn read_only_allocation_fails() {
+        let report = ChainReport { allocs_per_record_read_only: 0.015625, ..passing() };
+        assert_eq!(
+            report.check(),
+            vec!["read-only steady state allocates: 0.015625 allocs/record".to_string()]
+        );
+    }
+
+    #[test]
+    fn diverged_determinism_fails() {
+        let report = ChainReport { identical: false, ..passing() };
+        assert!(report.json().render().contains("\"determinism\": \"diverged\""));
+        assert_eq!(
+            report.check(),
+            vec!["double-run chain determinism verdict is not identical".to_string()]
+        );
+    }
+
+    #[test]
+    fn missing_or_zero_rows_fail() {
+        let mut report = passing();
+        report.chains.retain(|t| t.name != "middleboxes_2");
+        set(&mut report.per_hop, "raw_tag_verify", 0.0);
+        assert_eq!(
+            report.check(),
+            vec![
+                "per-hop metric raw_tag_verify missing or zero".to_string(),
+                "chain config middleboxes_2 missing or zero".to_string(),
+            ]
+        );
     }
 
     #[test]
@@ -549,7 +556,7 @@ mod tests {
 
     #[test]
     fn read_only_steady_state_round_trips() {
-        let mut p = SteadyStateReadOnly::warmed_up();
+        let mut p = SteadyStatePipeline::warmed_up(true);
         p.pump(3);
     }
 

@@ -37,6 +37,7 @@ use mbtls_host::{Host, HostConfig, LoadConfig, LoadGenerator, NetSubstrate, Shar
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_telemetry::merge_shard_traces;
 
+use crate::json::{failing, Artifact, Json};
 use crate::scale::trace_fingerprint;
 
 /// Shard counts for the storm curve (matches `scale.rs`).
@@ -107,72 +108,137 @@ pub struct HandshakeReport {
 
 impl HandshakeReport {
     /// Best batched-over-single speedup across the measured batch
-    /// sizes (the scalar the smoke gate checks against 2.0).
+    /// sizes.
     pub fn best_batch_speedup(&self) -> f64 {
         self.verify.iter().map(|r| r.speedup).fold(0.0, f64::max)
     }
+}
 
-    /// Render as pretty-printed JSON (hand-rolled; the workspace has
-    /// no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str("  \"model\": \"max_shard_wall\",\n");
-        out.push_str("  \"verify\": [\n");
-        for (i, row) in self.verify.iter().enumerate() {
-            let comma = if i + 1 == self.verify.len() { "" } else { "," };
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"batch\": {},\n", row.batch));
-            out.push_str(&format!(
-                "      \"single_verifies_per_s\": {:.1},\n",
-                row.single_verifies_per_s
-            ));
-            out.push_str(&format!(
-                "      \"batched_verifies_per_s\": {:.1},\n",
-                row.batched_verifies_per_s
-            ));
-            out.push_str(&format!("      \"speedup\": {:.2}\n", row.speedup));
-            out.push_str(&format!("    }}{comma}\n"));
+impl Artifact for HandshakeReport {
+    const KEYS: &'static [&'static str] = &[
+        "verify",
+        "best_batch_speedup",
+        "handshake_cpu",
+        "resumed_over_full",
+        "storm",
+        "storm_handshakes_per_s",
+        "storm_resumed_share",
+        "determinism",
+        "identical",
+    ];
+
+    fn json(&self) -> Json {
+        let verify_json = |row: &VerifyRow| {
+            Json::obj([
+                ("batch", row.batch.into()),
+                ("single_verifies_per_s", Json::Num(row.single_verifies_per_s, 1)),
+                ("batched_verifies_per_s", Json::Num(row.batched_verifies_per_s, 1)),
+                ("speedup", Json::Num(row.speedup, 2)),
+            ])
+        };
+        let storm_json = |run: &StormRun| {
+            Json::obj([
+                ("shards", run.shards.into()),
+                ("full_handshakes_per_s", Json::Num(run.full_handshakes_per_s, 1)),
+                ("storm_handshakes_per_s", Json::Num(run.storm_handshakes_per_s, 1)),
+                ("storm_resumed_share", Json::Num(run.storm_resumed_share, 3)),
+            ])
+        };
+        Json::obj([
+            ("smoke", self.smoke.into()),
+            ("model", "max_shard_wall".into()),
+            ("verify", Json::arr(self.verify.iter().map(verify_json))),
+            ("best_batch_speedup", Json::Num(self.best_batch_speedup(), 2)),
+            (
+                "handshake_cpu",
+                Json::obj([
+                    ("full_us", Json::Num(self.cpu.full_us, 1)),
+                    ("resumed_us", Json::Num(self.cpu.resumed_us, 1)),
+                    ("resumed_over_full", Json::Num(self.cpu.resumed_over_full, 3)),
+                ]),
+            ),
+            ("storm", Json::arr(self.storm.iter().map(storm_json))),
+            (
+                "determinism",
+                Json::obj([
+                    ("seed", self.determinism_seed.into()),
+                    ("sessions", self.determinism_sessions.into()),
+                    ("shards", self.determinism_shards.into()),
+                    ("batching", true.into()),
+                    ("identical", self.determinism_identical.into()),
+                ]),
+            ),
+        ])
+    }
+
+    /// Structural checks always; the ratio floors — best batched
+    /// verify ≥ 2× single, resumed ≤ ¼ of full, storm beats the
+    /// all-full baseline at every shard count — on full runs only,
+    /// since smoke budgets are too small for stable ratios.
+    fn floors(&self) -> Vec<String> {
+        let batches: Vec<usize> = self.verify.iter().map(|r| r.batch).collect();
+        let shard_counts: Vec<u16> = self.storm.iter().map(|r| r.shards).collect();
+        let cpu = &self.cpu;
+        let mut checks = vec![
+            (!self.verify.is_empty(), "no verification batch rows".to_string()),
+            (
+                batches.is_sorted(),
+                format!("verify rows must ascend by batch size, got {batches:?}"),
+            ),
+            (
+                cpu.full_us > 0.0 && cpu.resumed_us > 0.0,
+                "handshake CPU is not positive".to_string(),
+            ),
+            (!self.storm.is_empty(), "no storm curve rows".to_string()),
+            (shard_counts.is_sorted(), format!("storm rows must ascend, got {shard_counts:?}")),
+            (self.determinism_identical, "double-run determinism verdict is false".to_string()),
+        ];
+        for row in &self.verify {
+            let b = row.batch;
+            checks.extend([
+                (b >= 2, format!("batch size {b} below 2 measures nothing")),
+                (
+                    row.single_verifies_per_s > 0.0 && row.batched_verifies_per_s > 0.0,
+                    format!("batch {b}: verification rate is not positive"),
+                ),
+            ]);
         }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"best_batch_speedup\": {:.2},\n", self.best_batch_speedup()));
-        out.push_str("  \"handshake_cpu\": {\n");
-        out.push_str(&format!("    \"full_us\": {:.1},\n", self.cpu.full_us));
-        out.push_str(&format!("    \"resumed_us\": {:.1},\n", self.cpu.resumed_us));
-        out.push_str(&format!(
-            "    \"resumed_over_full\": {:.3}\n",
-            self.cpu.resumed_over_full
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"storm\": [\n");
-        for (i, run) in self.storm.iter().enumerate() {
-            let comma = if i + 1 == self.storm.len() { "" } else { "," };
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"shards\": {},\n", run.shards));
-            out.push_str(&format!(
-                "      \"full_handshakes_per_s\": {:.1},\n",
-                run.full_handshakes_per_s
-            ));
-            out.push_str(&format!(
-                "      \"storm_handshakes_per_s\": {:.1},\n",
-                run.storm_handshakes_per_s
-            ));
-            out.push_str(&format!(
-                "      \"storm_resumed_share\": {:.3}\n",
-                run.storm_resumed_share
-            ));
-            out.push_str(&format!("    }}{comma}\n"));
+        for run in &self.storm {
+            let s = run.shards;
+            checks.extend([
+                (
+                    run.full_handshakes_per_s > 0.0 && run.storm_handshakes_per_s > 0.0,
+                    format!("storm at {s} shard(s): handshake rate is not positive"),
+                ),
+                (
+                    run.storm_resumed_share > 0.0 && run.storm_resumed_share <= 1.0,
+                    format!(
+                        "storm at {s} shard(s): resumed share {} outside (0, 1]",
+                        run.storm_resumed_share
+                    ),
+                ),
+            ]);
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"determinism\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", self.determinism_seed));
-        out.push_str(&format!("    \"sessions\": {},\n", self.determinism_sessions));
-        out.push_str(&format!("    \"shards\": {},\n", self.determinism_shards));
-        out.push_str("    \"batching\": true,\n");
-        out.push_str(&format!("    \"identical\": {}\n", self.determinism_identical));
-        out.push_str("  }\n");
-        out.push('}');
-        out
+        if !self.smoke {
+            let best = self.best_batch_speedup();
+            checks.extend([
+                (best >= 2.0, format!("batched verify speedup regressed: {best:.2}x < 2x floor")),
+                (
+                    cpu.resumed_over_full <= 0.25,
+                    format!(
+                        "resumed handshake too costly: {:.3} of full > 0.25",
+                        cpu.resumed_over_full
+                    ),
+                ),
+            ]);
+            checks.extend(self.storm.iter().map(|run| {
+                (
+                    run.storm_handshakes_per_s > run.full_handshakes_per_s,
+                    format!("storm loses to full baseline at {} shard(s)", run.shards),
+                )
+            }));
+        }
+        failing(checks)
     }
 }
 
@@ -444,19 +510,40 @@ mod tests {
         assert_ne!(fingerprint, 0);
     }
 
+    fn passing() -> HandshakeReport {
+        let verify = |batch, speedup| VerifyRow {
+            batch,
+            single_verifies_per_s: 1000.0,
+            batched_verifies_per_s: 1000.0 * speedup,
+            speedup,
+        };
+        let storm = |shards| StormRun {
+            shards,
+            full_handshakes_per_s: 500.0,
+            storm_handshakes_per_s: 2500.0,
+            storm_resumed_share: 0.938,
+        };
+        HandshakeReport {
+            smoke: false,
+            verify: vec![verify(4, 1.7), verify(16, 2.35)],
+            cpu: HandshakeCpu { full_us: 1500.0, resumed_us: 300.0, resumed_over_full: 0.2 },
+            storm: vec![storm(1), storm(2), storm(4)],
+            determinism_seed: 3,
+            determinism_sessions: 8,
+            determinism_shards: 4,
+            determinism_identical: true,
+        }
+    }
+
     #[test]
     fn report_json_shape_is_valid() {
         let report = HandshakeReport {
             smoke: true,
             verify: vec![bench_verify_row(4, 4, 1)],
-            cpu: HandshakeCpu { full_us: 100.0, resumed_us: 20.0, resumed_over_full: 0.2 },
             storm: bench_storm_curve(8, 3, &[1]),
-            determinism_seed: 3,
-            determinism_sessions: 8,
-            determinism_shards: 2,
-            determinism_identical: true,
+            ..passing()
         };
-        let json = report.to_json();
+        let json = report.json().render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
             "\"verify\"",
@@ -474,7 +561,47 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+        assert_eq!(report.json().non_finite(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn passing_fixture_passes_every_check() {
+        assert_eq!(passing().check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn batch_speedup_below_two_fails_on_full_runs_only() {
+        let mut report = passing();
+        report.verify[1].speedup = 1.99;
+        assert_eq!(
+            report.check(),
+            vec!["batched verify speedup regressed: 1.99x < 2x floor".to_string()]
+        );
+        report.smoke = true;
+        assert_eq!(report.check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn costly_resumption_fails_on_full_runs_only() {
+        let mut report = passing();
+        report.cpu.resumed_over_full = 0.26;
+        assert_eq!(
+            report.check(),
+            vec!["resumed handshake too costly: 0.260 of full > 0.25".to_string()]
+        );
+        report.smoke = true;
+        assert_eq!(report.check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn storm_not_beating_full_at_any_shard_count_fails_on_full_runs_only() {
+        let mut report = passing();
+        report.storm[2].storm_handshakes_per_s = report.storm[2].full_handshakes_per_s;
+        assert_eq!(
+            report.check(),
+            vec!["storm loses to full baseline at 4 shard(s)".to_string()]
+        );
+        report.smoke = true;
+        assert_eq!(report.check(), Vec::<String>::new());
     }
 }

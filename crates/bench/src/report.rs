@@ -1,15 +1,16 @@
-//! The `BENCH_dataplane.json` regression reporter.
+//! The `BENCH_dataplane.json` regression reporter, and the per-hop
+//! measurement loop every artifact's per-hop rows share.
 //!
 //! Measures the data-plane fast path end to end — bulk AEAD
 //! throughput for each `AesGcm` backend and the reference oracle,
 //! record-layer throughput per hop, and a steady-state loop the
-//! `bench_report` binary wraps with a counting allocator to prove the
-//! per-record path is allocation-free. The binary serialises a [`DataplaneReport`] to
-//! `BENCH_dataplane.json`; `scripts/check.sh` runs it in `--smoke`
-//! mode as a regression gate. See DESIGN.md §"Data-plane fast path"
-//! for how to read the numbers.
+//! `bench` binary wraps with a counting allocator to prove the
+//! per-record path is allocation-free. `bench dataplane` writes a
+//! [`DataplaneReport`] to `BENCH_dataplane.json` and gates it;
+//! `scripts/check.sh` runs it in `--smoke` mode. See DESIGN.md
+//! §"Data-plane fast path" for how to read the numbers.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mbtls_core::dataplane::{
     fresh_hop_keys, EndpointDataPlane, FlowDirection, MiddleboxDataPlane,
@@ -18,9 +19,11 @@ use mbtls_crypto::gcm::{AesGcm, AesGcmRef, GcmBackend};
 use mbtls_crypto::rng::CryptoRng;
 use mbtls_tls::suites::CipherSuite;
 
+use crate::json::{failing, Artifact, Json};
+use crate::mb_per_s;
+
 /// Message size for the bulk-primitive benchmarks. 16 KiB is the TLS
-/// maximum record payload and the size the ISSUE's speedup target is
-/// defined at.
+/// maximum record payload.
 pub const BULK_LEN: usize = 16 * 1024;
 
 /// Record payload used on the record path (just under the TLS
@@ -32,8 +35,20 @@ pub const RECORD_LEN: usize = 16 * 1024 - 64;
 pub struct Throughput {
     /// Stable snake_case metric name (JSON key).
     pub name: &'static str,
-    /// Megabytes (1e6 bytes) of plaintext processed per second.
+    /// Megabytes (1e6 bytes) of application data processed per second.
     pub mb_per_s: f64,
+}
+
+impl Throughput {
+    /// The rows as one JSON object, `name: mb_per_s`, at `decimals`.
+    pub(crate) fn rows_json(rows: &[Throughput], decimals: usize) -> Json {
+        Json::obj(rows.iter().map(|t| (t.name, Json::Num(t.mb_per_s, decimals))))
+    }
+
+    /// The rate of the row called `name`, or 0 when there is none.
+    pub(crate) fn rate(rows: &[Throughput], name: &str) -> f64 {
+        rows.iter().find(|t| t.name == name).map_or(0.0, |t| t.mb_per_s)
+    }
 }
 
 /// Everything that goes into `BENCH_dataplane.json`.
@@ -55,35 +70,48 @@ pub struct DataplaneReport {
     pub allocs_per_record_middlebox: f64,
 }
 
-impl DataplaneReport {
-    /// Render as pretty-printed JSON. Hand-rolled (the workspace has
-    /// no serde) but round-trips through any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str(&format!("  \"bulk_len\": {},\n", self.bulk_len));
-        out.push_str(&format!("  \"record_len\": {},\n", self.record_len));
-        out.push_str("  \"throughput_mb_s\": {\n");
-        for (i, t) in self.throughputs.iter().enumerate() {
-            let comma = if i + 1 == self.throughputs.len() { "" } else { "," };
-            out.push_str(&format!("    \"{}\": {:.2}{}\n", t.name, t.mb_per_s, comma));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"allocs_per_record_endpoint\": {:.3},\n",
-            self.allocs_per_record_endpoint
-        ));
-        out.push_str(&format!(
-            "  \"allocs_per_record_middlebox\": {:.3}\n",
-            self.allocs_per_record_middlebox
-        ));
-        out.push('}');
-        out
-    }
-}
+impl Artifact for DataplaneReport {
+    const KEYS: &'static [&'static str] = &[
+        "throughput_mb_s",
+        "aes_gcm_bitsliced_seal",
+        "aes_gcm_reference_seal",
+        "endpoint_seal_record",
+        "middlebox_forward_record",
+        "allocs_per_record_endpoint",
+        "allocs_per_record_middlebox",
+    ];
 
-fn mb_per_s(bytes: usize, elapsed: std::time::Duration) -> f64 {
-    bytes as f64 / 1e6 / elapsed.as_secs_f64()
+    fn json(&self) -> Json {
+        Json::obj([
+            ("smoke", self.smoke.into()),
+            ("bulk_len", self.bulk_len.into()),
+            ("record_len", self.record_len.into()),
+            ("throughput_mb_s", Throughput::rows_json(&self.throughputs, 2)),
+            ("allocs_per_record_endpoint", Json::Num(self.allocs_per_record_endpoint, 3)),
+            ("allocs_per_record_middlebox", Json::Num(self.allocs_per_record_middlebox, 3)),
+        ])
+    }
+
+    /// The record path is allocation-free at steady state. Counts are
+    /// exact, so this holds at smoke budgets too.
+    fn floors(&self) -> Vec<String> {
+        failing([
+            (
+                self.allocs_per_record_endpoint == 0.0,
+                format!(
+                    "endpoint steady state allocates: {} allocs/record",
+                    self.allocs_per_record_endpoint
+                ),
+            ),
+            (
+                self.allocs_per_record_middlebox == 0.0,
+                format!(
+                    "middlebox steady state allocates: {} allocs/record",
+                    self.allocs_per_record_middlebox
+                ),
+            ),
+        ])
+    }
 }
 
 /// Bulk AEAD throughput for each `AesGcm` backend this CPU can run
@@ -172,72 +200,116 @@ pub fn bench_primitives(total_bytes: usize) -> Vec<Throughput> {
     out
 }
 
+/// The per-hop measurement loop behind every per-hop row in every
+/// artifact: megabytes per second of `RECORD_LEN`-byte records
+/// through `step`. Each iteration first calls `prepare` untimed (to
+/// seal the record `step` consumes into the cleared wire buffer, for
+/// steps that take one) and then times `step` alone. The first
+/// `iters / 16` iterations are an untimed warm-up. `total_bytes` is
+/// the timed plaintext budget.
+pub(crate) fn hop_mb_s(
+    total_bytes: usize,
+    mut prepare: impl FnMut(&mut Vec<u8>),
+    mut step: impl FnMut(&[u8]),
+) -> f64 {
+    let iters = (total_bytes / RECORD_LEN).max(1);
+    let warmup = (iters / 16).max(1);
+    let mut wire = Vec::new();
+    let mut timed = Duration::ZERO;
+    for i in 0..warmup + iters {
+        wire.clear();
+        prepare(&mut wire);
+        let t0 = Instant::now();
+        step(&wire);
+        if i >= warmup {
+            timed += t0.elapsed();
+        }
+    }
+    mb_per_s(iters * RECORD_LEN, timed)
+}
+
+/// Endpoint seal per hop: `send()` into the internal wire buffer,
+/// drained into a reused Vec.
+pub(crate) fn endpoint_seal_mb_s(total_bytes: usize) -> f64 {
+    let mut rng = CryptoRng::from_seed(0xF0B7);
+    let hop = fresh_hop_keys(CipherSuite::EcdheAes256GcmSha384, &mut rng);
+    let mut client = EndpointDataPlane::for_client(&hop).expect("keys");
+    let payload = vec![0xA5u8; RECORD_LEN];
+    let mut out = Vec::new();
+    hop_mb_s(
+        total_bytes,
+        |_| {},
+        |_| {
+            client.send(&payload).expect("send");
+            out.clear();
+            client.drain_outgoing_into(&mut out);
+        },
+    )
+}
+
+/// Middlebox relay per hop: one freshly sealed record (sequence
+/// numbers forbid replaying one) fed to a [`MiddleboxDataPlane`] and
+/// drained into a reused Vec; only the middlebox's work is timed.
+///
+/// * distinct hop keys: open + reseal, the default mbTLS relay;
+/// * `shared_key`, not `read_only`: open + reseal on one key for
+///   both hops — exactly the data plane
+///   `mbtls_core::baseline::NaiveKeyShare::install_keys` builds;
+/// * `shared_key` and `read_only`: the tag-only forward fast path
+///   (asserted taken for every record).
+pub(crate) fn relay_mb_s(total_bytes: usize, shared_key: bool, read_only: bool) -> f64 {
+    let mut rng = CryptoRng::from_seed(0xC4A1);
+    let suite = CipherSuite::EcdheAes256GcmSha384;
+    let left = fresh_hop_keys(suite, &mut rng);
+    let distinct = fresh_hop_keys(suite, &mut rng);
+    let right = if shared_key { &left } else { &distinct };
+    let mut sender = EndpointDataPlane::for_client(&left).expect("keys");
+    let mut mbox = MiddleboxDataPlane::new(&left, right).expect("keys");
+    mbox.set_read_only(read_only);
+    let payload = vec![0xA5u8; RECORD_LEN];
+    let mut fwd = Vec::new();
+    let mb_s = hop_mb_s(
+        total_bytes,
+        |wire| {
+            sender.send(&payload).expect("send");
+            sender.drain_outgoing_into(wire);
+        },
+        |wire| {
+            mbox.feed(FlowDirection::ClientToServer, wire, |_, _p| {}).expect("forward");
+            fwd.clear();
+            mbox.drain_toward_server_into(&mut fwd);
+        },
+    );
+    assert!(mbox.records_forwarded > 0, "relay forwarded nothing");
+    assert_eq!(
+        mbox.records_fast_forwarded,
+        if read_only { mbox.records_forwarded } else { 0 },
+        "every record must take the path the relay was built for"
+    );
+    mb_s
+}
+
 /// Record-path throughput per hop: endpoint seal (client encrypting
 /// records) and middlebox forward (open + reseal). `total_bytes` is
 /// the plaintext budget per metric.
 pub fn bench_record_path(total_bytes: usize) -> Vec<Throughput> {
-    let mut rng = CryptoRng::from_seed(0xF0B7);
-    let suite = CipherSuite::EcdheAes256GcmSha384;
-    let left = fresh_hop_keys(suite, &mut rng);
-    let right = fresh_hop_keys(suite, &mut rng);
-    let payload = vec![0xA5u8; RECORD_LEN];
-    let iters = (total_bytes / RECORD_LEN).max(1);
-    let warmup = (iters / 16).max(1);
-
-    let mut out = Vec::new();
-
-    // Endpoint seal path: send() into the internal wire buffer, then
-    // drain it into a reused Vec.
-    let mut client = EndpointDataPlane::for_client(&left).expect("keys");
-    let mut wire = Vec::new();
-    for _ in 0..warmup {
-        client.send(&payload).expect("send");
-        wire.clear();
-        client.drain_outgoing_into(&mut wire);
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        client.send(&payload).expect("send");
-        wire.clear();
-        client.drain_outgoing_into(&mut wire);
-    }
-    out.push(Throughput {
-        name: "endpoint_seal_record",
-        mb_per_s: mb_per_s(iters * RECORD_LEN, t0.elapsed()),
-    });
-
-    // Middlebox forward path: one pre-sealed record opened and
-    // resealed per iteration, draining into a reused Vec. Records
-    // must be sealed fresh each iteration (sequence numbers), so a
-    // sender runs in the loop; its cost is subtracted structurally by
-    // reporting the endpoint number separately.
-    let mut sender = EndpointDataPlane::for_client(&left).expect("keys");
-    let mut mbox = MiddleboxDataPlane::new(&left, &right).expect("keys");
-    let mut fwd = Vec::new();
-    let mut total = std::time::Duration::ZERO;
-    for _ in 0..iters {
-        sender.send(&payload).expect("send");
-        wire.clear();
-        sender.drain_outgoing_into(&mut wire);
-        let t0 = Instant::now();
-        mbox.feed(FlowDirection::ClientToServer, &wire, |_, _p| {})
-            .expect("forward");
-        fwd.clear();
-        mbox.drain_toward_server_into(&mut fwd);
-        total += t0.elapsed();
-    }
-    out.push(Throughput {
-        name: "middlebox_forward_record",
-        mb_per_s: mb_per_s(iters * RECORD_LEN, total),
-    });
-
-    out
+    vec![
+        Throughput { name: "endpoint_seal_record", mb_per_s: endpoint_seal_mb_s(total_bytes) },
+        Throughput {
+            name: "middlebox_forward_record",
+            mb_per_s: relay_mb_s(total_bytes, false, false),
+        },
+    ]
 }
 
+/// Untimed records every steady-state pipeline pushes through before
+/// it is counted, enough for every buffer to reach its final
+/// capacity.
+const STEADY_WARMUP_RECORDS: usize = 10;
+
 /// A warmed-up client → server pipeline (no middlebox) whose buffers
-/// have reached steady-state capacity. The `bench_report` binary
-/// snapshots its allocation counter around [`Self::pump`] to count
-/// endpoint allocations per record.
+/// have reached steady-state capacity. The `bench` binary counts
+/// allocations around [`Self::pump`].
 pub struct SteadyStateEndpoint {
     client: EndpointDataPlane,
     server: EndpointDataPlane,
@@ -259,9 +331,7 @@ impl SteadyStateEndpoint {
             wire: Vec::new(),
             plain: Vec::new(),
         };
-        for _ in 0..8 {
-            pipeline.pump(1);
-        }
+        pipeline.pump(STEADY_WARMUP_RECORDS);
         pipeline
     }
 
@@ -281,13 +351,13 @@ impl SteadyStateEndpoint {
 }
 
 /// A warmed-up client → middlebox → server pipeline whose buffers
-/// have reached their steady-state capacities. The `bench_report`
-/// binary snapshots its allocation counter around [`Self::pump`] to
-/// count allocations per record.
+/// have reached their steady-state capacities. The `bench` binary
+/// counts allocations around [`Self::pump`].
 pub struct SteadyStatePipeline {
     client: EndpointDataPlane,
     mbox: MiddleboxDataPlane,
     server: EndpointDataPlane,
+    read_only: bool,
     payload: Vec<u8>,
     wire: Vec<u8>,
     fwd: Vec<u8>,
@@ -295,31 +365,37 @@ pub struct SteadyStatePipeline {
 }
 
 impl SteadyStatePipeline {
-    /// Build the pipeline and run enough records through it for every
-    /// internal buffer to reach its final capacity.
-    pub fn warmed_up() -> Self {
-        let mut rng = CryptoRng::from_seed(0xA110);
+    /// Build the pipeline and warm it up. `read_only` puts both hops
+    /// on one aliased key and declares the middlebox read-only, so
+    /// every record takes the tag-only forward fast path; otherwise
+    /// the hops have distinct keys and every record is opened and
+    /// resealed.
+    pub fn warmed_up(read_only: bool) -> Self {
+        let mut rng = CryptoRng::from_seed(if read_only { 0xFA57 } else { 0xA110 });
         let suite = CipherSuite::EcdheAes256GcmSha384;
         let left = fresh_hop_keys(suite, &mut rng);
-        let right = fresh_hop_keys(suite, &mut rng);
+        let distinct = fresh_hop_keys(suite, &mut rng);
+        let right = if read_only { &left } else { &distinct };
+        let mut mbox = MiddleboxDataPlane::new(&left, right).expect("keys");
+        mbox.set_read_only(read_only);
         let mut pipeline = SteadyStatePipeline {
             client: EndpointDataPlane::for_client(&left).expect("keys"),
-            mbox: MiddleboxDataPlane::new(&left, &right).expect("keys"),
-            server: EndpointDataPlane::for_server(&right).expect("keys"),
+            mbox,
+            server: EndpointDataPlane::for_server(right).expect("keys"),
+            read_only,
             payload: vec![0x5Au8; RECORD_LEN],
             wire: Vec::new(),
             fwd: Vec::new(),
             plain: Vec::new(),
         };
-        for _ in 0..8 {
-            pipeline.pump(1);
-        }
+        pipeline.pump(STEADY_WARMUP_RECORDS);
         pipeline
     }
 
     /// Push `records` full-size records client → middlebox → server
     /// and drain the server's plaintext, all through reused buffers.
     pub fn pump(&mut self, records: usize) {
+        let fast_before = self.mbox.records_fast_forwarded;
         for _ in 0..records {
             self.client.send(&self.payload).expect("send");
             self.wire.clear();
@@ -334,40 +410,84 @@ impl SteadyStatePipeline {
             self.server.drain_plaintext_into(&mut self.plain);
             assert_eq!(self.plain.len(), RECORD_LEN, "record did not round-trip");
         }
+        assert_eq!(
+            self.mbox.records_fast_forwarded - fast_before,
+            if self.read_only { records as u64 } else { 0 },
+            "every record must take the path the pipeline was built for"
+        );
     }
-
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn passing() -> DataplaneReport {
+        DataplaneReport {
+            smoke: true,
+            bulk_len: BULK_LEN,
+            record_len: RECORD_LEN,
+            throughputs: [
+                "aes_gcm_bitsliced_seal",
+                "aes_gcm_reference_seal",
+                "endpoint_seal_record",
+                "middlebox_forward_record",
+            ]
+            .into_iter()
+            .map(|name| Throughput { name, mb_per_s: 100.0 })
+            .collect(),
+            allocs_per_record_endpoint: 0.0,
+            allocs_per_record_middlebox: 0.0,
+        }
+    }
+
     #[test]
     fn smoke_report_is_valid_json_shape() {
         let mut throughputs = bench_primitives(BULK_LEN);
         throughputs.extend(bench_record_path(RECORD_LEN));
-        let report = DataplaneReport {
-            smoke: true,
-            bulk_len: BULK_LEN,
-            record_len: RECORD_LEN,
-            throughputs,
-            allocs_per_record_endpoint: 0.0,
-            allocs_per_record_middlebox: 0.0,
-        };
-        let json = report.to_json();
+        let report = DataplaneReport { throughputs, ..passing() };
+        assert_eq!(report.check(), Vec::<String>::new());
+        let json = report.json().render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"aes_gcm_bitsliced_seal\""));
         let hw = AesGcm::with_backend(GcmBackend::Hardware, &[0u8; 16]).expect("key");
         assert_eq!(json.contains("\"aes_gcm_hw_seal\""), hw.is_some());
         assert!(json.contains("\"middlebox_forward_record\""));
-        // Balanced braces and no trailing commas before closers.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+        assert!(json.contains("\"allocs_per_record_endpoint\": 0.000,\n"));
     }
 
     #[test]
     fn steady_state_pipeline_round_trips() {
-        let mut p = SteadyStatePipeline::warmed_up();
+        let mut p = SteadyStatePipeline::warmed_up(false);
         p.pump(3);
+    }
+
+    #[test]
+    fn any_steady_state_allocation_fails_the_gate() {
+        assert_eq!(passing().check(), Vec::<String>::new());
+        let endpoint = DataplaneReport { allocs_per_record_endpoint: 0.25, ..passing() };
+        assert_eq!(
+            endpoint.check(),
+            vec!["endpoint steady state allocates: 0.25 allocs/record".to_string()]
+        );
+        let middlebox = DataplaneReport { allocs_per_record_middlebox: 1.0, ..passing() };
+        assert_eq!(
+            middlebox.check(),
+            vec!["middlebox steady state allocates: 1 allocs/record".to_string()]
+        );
+    }
+
+    #[test]
+    fn missing_row_or_non_finite_rate_fails_the_gate() {
+        let mut missing = passing();
+        missing.throughputs.retain(|t| t.name != "aes_gcm_reference_seal");
+        assert_eq!(missing.check(), vec!["missing key \"aes_gcm_reference_seal\"".to_string()]);
+        let mut infinite = passing();
+        // What `mb_per_s` yields for a zero elapsed time.
+        infinite.throughputs[2].mb_per_s = mb_per_s(RECORD_LEN, Duration::ZERO);
+        assert_eq!(
+            infinite.check(),
+            vec!["throughput_mb_s.endpoint_seal_record is not finite (inf)".to_string()]
+        );
     }
 }

@@ -20,13 +20,12 @@
 //! the artifact so the model is auditable, and the JSON names the
 //! model explicitly (`"model": "max_shard_wall"`).
 //!
-//! The `scale_report` binary wraps [`SteadyStateShard`] with a
-//! counting allocator to prove every shard's per-record steady state
-//! is allocation-free, and replays one seeded multi-shard run twice
-//! to prove the merged telemetry trace is bit-identical.
-//! `scripts/check.sh` runs the binary in `--smoke` mode as a
-//! regression gate; see DESIGN.md §6f–§6g for how to read the
-//! numbers.
+//! `bench scale` wraps [`SteadyStateShard`] with a counting allocator
+//! to prove every shard's per-record steady state is allocation-free,
+//! replays one seeded multi-shard run twice to prove the merged
+//! telemetry trace is bit-identical, and gates the artifact with
+//! [`ScaleReport`]'s checks. `scripts/check.sh` runs it in `--smoke`
+//! mode; see DESIGN.md §6f–§6g for how to read the numbers.
 
 use std::time::Instant;
 
@@ -35,6 +34,9 @@ use mbtls_host::{
 };
 use mbtls_netsim::time::{Duration, SimTime};
 use mbtls_telemetry::{merge_shard_traces, to_json_line};
+
+use crate::json::{failing, Artifact, Json};
+use crate::{fnv1a, FNV1A_START};
 
 /// Every load run in this module serves the same per-session
 /// workload: `exchanges` request/response round trips, so one session
@@ -95,8 +97,7 @@ pub struct ScalePoint {
     pub n: usize,
     /// One entry per [`SHARD_CURVE`] configuration, ascending.
     pub curve: Vec<ShardRun>,
-    /// Modeled 4-shard handshake throughput over the 1-shard figure
-    /// (the acceptance floor is 2.5).
+    /// Modeled 4-shard handshake throughput over the 1-shard figure.
     pub speedup_4_over_1: f64,
     /// Median open→handshake-done latency in virtual milliseconds
     /// (virtual time is shard-invariant, so one number per fleet).
@@ -119,8 +120,8 @@ pub struct ScaleReport {
     pub points: Vec<ScalePoint>,
     /// Heap allocations per application record in each shard's
     /// established steady state, indexed by shard (counted by the
-    /// binary's global allocator; the acceptance target is 0.000 for
-    /// every shard).
+    /// binary's global allocator; the gate requires 0 for every
+    /// shard).
     pub allocs_per_record_per_shard: Vec<f64>,
     /// Seed used for the determinism replay.
     pub determinism_seed: u64,
@@ -135,71 +136,120 @@ pub struct ScaleReport {
 }
 
 impl ScaleReport {
-    /// Worst per-shard steady-state allocation rate (the scalar the
-    /// smoke gate checks against 0.000).
+    /// Worst per-shard steady-state allocation rate.
     pub fn allocs_per_record_steady(&self) -> f64 {
         self.allocs_per_record_per_shard.iter().copied().fold(0.0, f64::max)
     }
+}
 
-    /// Render as pretty-printed JSON. Hand-rolled (the workspace has
-    /// no serde) but round-trips through any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        out.push_str("  \"model\": \"max_shard_wall\",\n");
-        out.push_str("  \"sessions\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let comma = if i + 1 == self.points.len() { "" } else { "," };
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"n\": {},\n", p.n));
-            out.push_str("      \"curve\": [\n");
-            for (j, run) in p.curve.iter().enumerate() {
-                let rc = if j + 1 == p.curve.len() { "" } else { "," };
-                let walls: Vec<String> =
-                    run.per_shard_wall_ms.iter().map(|w| format!("{w:.1}")).collect();
-                out.push_str("        {\n");
-                out.push_str(&format!("          \"shards\": {},\n", run.shards));
-                out.push_str(&format!(
-                    "          \"per_shard_wall_ms\": [{}],\n",
-                    walls.join(", ")
-                ));
-                out.push_str(&format!(
-                    "          \"max_shard_wall_ms\": {:.1},\n",
-                    run.max_shard_wall_ms
-                ));
-                out.push_str(&format!(
-                    "          \"handshakes_per_s\": {:.1},\n",
-                    run.handshakes_per_s
-                ));
-                out.push_str(&format!("          \"records_per_s\": {:.1}\n", run.records_per_s));
-                out.push_str(&format!("        }}{rc}\n"));
+impl Artifact for ScaleReport {
+    const KEYS: &'static [&'static str] = &[
+        "sessions",
+        "model",
+        "curve",
+        "per_shard_wall_ms",
+        "max_shard_wall_ms",
+        "handshakes_per_s",
+        "records_per_s",
+        "speedup_4_over_1",
+        "p50_handshake_ms",
+        "p99_handshake_ms",
+        "bytes_per_session",
+        "allocs_per_record_steady",
+        "allocs_per_record_per_shard",
+        "determinism",
+        "identical",
+    ];
+
+    fn json(&self) -> Json {
+        let run_json = |run: &ShardRun| {
+            Json::obj([
+                ("shards", run.shards.into()),
+                (
+                    "per_shard_wall_ms",
+                    Json::arr(run.per_shard_wall_ms.iter().map(|&w| Json::Num(w, 1))),
+                ),
+                ("max_shard_wall_ms", Json::Num(run.max_shard_wall_ms, 1)),
+                ("handshakes_per_s", Json::Num(run.handshakes_per_s, 1)),
+                ("records_per_s", Json::Num(run.records_per_s, 1)),
+            ])
+        };
+        let point_json = |p: &ScalePoint| {
+            Json::obj([
+                ("n", p.n.into()),
+                ("curve", Json::arr(p.curve.iter().map(run_json))),
+                ("speedup_4_over_1", Json::Num(p.speedup_4_over_1, 2)),
+                ("p50_handshake_ms", Json::Num(p.p50_handshake_ms, 3)),
+                ("p99_handshake_ms", Json::Num(p.p99_handshake_ms, 3)),
+                ("bytes_per_session", Json::Num(p.bytes_per_session, 1)),
+            ])
+        };
+        Json::obj([
+            ("smoke", self.smoke.into()),
+            ("model", "max_shard_wall".into()),
+            ("sessions", Json::arr(self.points.iter().map(point_json))),
+            ("allocs_per_record_steady", Json::Num(self.allocs_per_record_steady(), 3)),
+            (
+                "allocs_per_record_per_shard",
+                Json::arr(self.allocs_per_record_per_shard.iter().map(|&a| Json::Num(a, 3))),
+            ),
+            (
+                "determinism",
+                Json::obj([
+                    ("seed", self.determinism_seed.into()),
+                    ("sessions", self.determinism_sessions.into()),
+                    ("shards", self.determinism_shards.into()),
+                    ("identical", self.determinism_identical.into()),
+                ]),
+            ),
+        ])
+    }
+
+    /// Structural checks, at smoke and full budgets alike: every fleet
+    /// size carries an ascending shard curve through the 4-shard row
+    /// with one wall per shard, the steady state is allocation-free on
+    /// every shard, and the multi-shard replay is bit-identical.
+    fn floors(&self) -> Vec<String> {
+        let mut checks = vec![(!self.points.is_empty(), "no fleet sizes measured".to_string())];
+        for p in &self.points {
+            let n = p.n;
+            let shard_counts: Vec<u16> = p.curve.iter().map(|r| r.shards).collect();
+            checks.extend([
+                (!p.curve.is_empty(), format!("fleet n={n} has no shard curve")),
+                (
+                    shard_counts.is_sorted(),
+                    format!("n={n}: curve rows must ascend, got {shard_counts:?}"),
+                ),
+                (shard_counts.contains(&4), format!("n={n}: curve is missing the 4-shard row")),
+            ]);
+            for run in &p.curve {
+                let s = run.shards;
+                let not_positive = |what: &str| format!("n={n}: shard {s} {what} is not positive");
+                checks.extend([
+                    (s >= 1, format!("n={n}: a curve row has {s} shards")),
+                    (
+                        run.per_shard_wall_ms.len() == s as usize,
+                        format!("n={n}: shard {s} row lacks per-shard walls"),
+                    ),
+                    (run.max_shard_wall_ms > 0.0, not_positive("max wall")),
+                    (run.handshakes_per_s > 0.0, not_positive("handshakes/s")),
+                    (run.records_per_s > 0.0, not_positive("records/s")),
+                ]);
             }
-            out.push_str("      ],\n");
-            out.push_str(&format!("      \"speedup_4_over_1\": {:.2},\n", p.speedup_4_over_1));
-            out.push_str(&format!("      \"p50_handshake_ms\": {:.3},\n", p.p50_handshake_ms));
-            out.push_str(&format!("      \"p99_handshake_ms\": {:.3},\n", p.p99_handshake_ms));
-            out.push_str(&format!("      \"bytes_per_session\": {:.1}\n", p.bytes_per_session));
-            out.push_str(&format!("    }}{comma}\n"));
         }
-        out.push_str("  ],\n");
-        let allocs: Vec<String> =
-            self.allocs_per_record_per_shard.iter().map(|a| format!("{a:.3}")).collect();
-        out.push_str(&format!(
-            "  \"allocs_per_record_steady\": {:.3},\n",
-            self.allocs_per_record_steady()
-        ));
-        out.push_str(&format!(
-            "  \"allocs_per_record_per_shard\": [{}],\n",
-            allocs.join(", ")
-        ));
-        out.push_str("  \"determinism\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", self.determinism_seed));
-        out.push_str(&format!("    \"sessions\": {},\n", self.determinism_sessions));
-        out.push_str(&format!("    \"shards\": {},\n", self.determinism_shards));
-        out.push_str(&format!("    \"identical\": {}\n", self.determinism_identical));
-        out.push_str("  }\n");
-        out.push('}');
-        out
+        let allocs = &self.allocs_per_record_per_shard;
+        checks.extend([
+            (
+                !allocs.is_empty() && allocs.iter().all(|&a| a == 0.0),
+                format!("steady state allocates: {allocs:?} allocs/record per shard"),
+            ),
+            (self.determinism_identical, "double-run determinism verdict is false".to_string()),
+            (
+                self.determinism_shards >= 2,
+                "determinism probe must cover multiple shards".to_string(),
+            ),
+        ]);
+        failing(checks)
     }
 }
 
@@ -323,12 +373,9 @@ pub fn bench_scale_point_over(n: usize, seed: u64, curve: &[u16]) -> ScalePoint 
 /// fingerprint that is equal iff the traces are bit-identical.
 /// Shared with the handshake reporter's storm determinism probe.
 pub(crate) fn trace_fingerprint(events: &[mbtls_telemetry::Event]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV1A_START;
     for event in events {
-        for byte in to_json_line(event).bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        fnv1a(&mut hash, to_json_line(event).as_bytes());
     }
     hash
 }
@@ -359,10 +406,10 @@ pub fn determinism_probe(sessions: usize, shards: u16, seed: u64) -> (u64, bool)
 /// A warmed-up single-session shard over in-memory pipes, parked in
 /// its established phase with a deep exchange quota. `max_pump_passes
 /// = 1` makes every [`Shard::step`] one bounded pump, so the
-/// `scale_report` binary can snapshot its allocation counter around
-/// [`Self::pump_exchanges`] and count event-loop allocations per
-/// record at steady state — once per shard index, proving the
-/// allocation-free property holds for every worker, not just shard 0.
+/// `bench` binary can count event-loop allocations per record around
+/// [`Self::pump_exchanges`] at steady state — once per shard index,
+/// proving the allocation-free property holds for every worker, not
+/// just shard 0.
 pub struct SteadyStateShard {
     shard: Shard<PipeSubstrate>,
 }
@@ -405,35 +452,96 @@ impl SteadyStateShard {
 mod tests {
     use super::*;
 
+    fn run(shards: u16) -> ShardRun {
+        ShardRun {
+            shards,
+            per_shard_wall_ms: vec![10.0; shards as usize],
+            max_shard_wall_ms: 10.0,
+            handshakes_per_s: 100.0 * shards as f64,
+            records_per_s: 400.0 * shards as f64,
+        }
+    }
+
+    fn passing() -> ScaleReport {
+        ScaleReport {
+            smoke: true,
+            points: vec![ScalePoint {
+                n: 8,
+                curve: vec![run(1), run(2), run(4)],
+                speedup_4_over_1: 4.0,
+                p50_handshake_ms: 1.2,
+                p99_handshake_ms: 2.0,
+                bytes_per_session: 4819.6,
+            }],
+            allocs_per_record_per_shard: vec![0.0; 4],
+            determinism_seed: 13,
+            determinism_sessions: 8,
+            determinism_shards: 4,
+            determinism_identical: true,
+        }
+    }
+
     #[test]
     fn smoke_scale_report_is_valid_json_shape() {
         let report = ScaleReport {
-            smoke: true,
             points: vec![
                 bench_scale_point_over(8, 13, &[1, 2, 4]),
                 bench_scale_point_over(16, 13, &[1, 2, 4]),
             ],
-            allocs_per_record_per_shard: vec![0.0, 0.0],
-            determinism_seed: 13,
-            determinism_sessions: 8,
             determinism_shards: 2,
-            determinism_identical: true,
+            ..passing()
         };
-        let json = report.to_json();
+        assert_eq!(report.check(), Vec::<String>::new());
+        let json = report.json().render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"model\": \"max_shard_wall\""));
-        assert!(json.contains("\"curve\""));
-        assert!(json.contains("\"per_shard_wall_ms\""));
-        assert!(json.contains("\"handshakes_per_s\""));
-        assert!(json.contains("\"records_per_s\""));
-        assert!(json.contains("\"speedup_4_over_1\""));
-        assert!(json.contains("\"p99_handshake_ms\""));
-        assert!(json.contains("\"allocs_per_record_per_shard\""));
-        assert!(json.contains("\"determinism\""));
         assert!(json.contains("\"shards\": 2"));
-        // Balanced braces and no trailing commas before closers.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  }") && !json.contains(",\n}"));
+        assert!(json.contains("\"allocs_per_record_per_shard\": [0.000, 0.000, 0.000, 0.000]"));
+    }
+
+    #[test]
+    fn passing_fixture_passes_every_check() {
+        assert_eq!(passing().check(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn nonzero_allocation_on_any_shard_fails() {
+        let mut report = passing();
+        report.allocs_per_record_per_shard[3] = 0.5;
+        assert_eq!(
+            report.check(),
+            vec!["steady state allocates: [0.0, 0.0, 0.0, 0.5] allocs/record per shard".to_string()]
+        );
+    }
+
+    #[test]
+    fn missing_four_shard_row_fails() {
+        let mut report = passing();
+        report.points[0].curve.pop();
+        assert_eq!(report.check(), vec!["n=8: curve is missing the 4-shard row".to_string()]);
+    }
+
+    #[test]
+    fn descending_curve_fails() {
+        let mut report = passing();
+        report.points[0].curve.swap(0, 1);
+        assert_eq!(
+            report.check(),
+            vec!["n=8: curve rows must ascend, got [2, 1, 4]".to_string()]
+        );
+    }
+
+    #[test]
+    fn wrong_per_shard_wall_count_fails() {
+        let mut report = passing();
+        report.points[0].curve[2].per_shard_wall_ms.pop();
+        assert_eq!(report.check(), vec!["n=8: shard 4 row lacks per-shard walls".to_string()]);
+    }
+
+    #[test]
+    fn diverged_replay_fails() {
+        let report = ScaleReport { determinism_identical: false, ..passing() };
+        assert_eq!(report.check(), vec!["double-run determinism verdict is false".to_string()]);
     }
 
     #[test]

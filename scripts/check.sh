@@ -55,13 +55,15 @@ stage clippy    cargo clippy --workspace --all-targets -- -D warnings
 stage build     cargo build --release --workspace
 stage test      cargo test -q --workspace
 stage telemetry scripts/telemetry_smoke.sh
-# Bench-reporter smoke: proves BENCH_dataplane.json (data-plane),
-# BENCH_scale.json (session-host capacity), BENCH_handshake.json
-# (handshake fast path), BENCH_chain.json (read-only forward /
-# service chains), and BENCH_auth.json (middlebox-authorization
-# comparison) can be produced and are well-formed. Numbers from
-# this run are noisy by design; the committed artifacts come from a
-# full `scripts/bench_report.sh` run.
+# Bench smoke: runs every `bench` subcommand at tiny budgets, so
+# BENCH_dataplane.json (data-plane), BENCH_scale.json (session-host
+# capacity), BENCH_handshake.json (handshake fast path),
+# BENCH_chain.json (read-only forward / service chains), and
+# BENCH_auth.json (middlebox-authorization comparison) are each
+# produced and pass their checks: required keys, finite numbers, the
+# exact allocation and determinism gates, and the floors that hold at
+# smoke budgets. Numbers from this run are noisy by design; the
+# committed artifacts come from a full `scripts/bench_report.sh` run.
 stage bench     scripts/bench_report.sh --smoke
 
 echo "all checks passed"
